@@ -9,9 +9,7 @@ The delta derivative at a right-scattered point is the forward difference
 ``(f(sigma(t)) - f(t)) / mu(t)``; at a right-dense point it is the classical
 derivative (available only for polynomials).  The delta integral over [a, b)
 on a discrete scale is the finite sum of ``mu(t) * f(t)``; on a real interval
-it is the ordinary integral, evaluated through the antiderivative.  All
-discrete paths are exact finite float sums; the ``tol`` argument of
-``delta_integral`` is an interface knob only and never loosens them.
+it is the ordinary integral, evaluated through the antiderivative.
 """
 
 from __future__ import annotations
@@ -78,6 +76,13 @@ def poly_definite(coeffs: tuple[float, ...], lo: float, hi: float) -> float:
 # function representations
 
 
+# Each function object also carries ``_delta_memo``: the f^Delta candidate
+# lists that ostrowski's derivative envelopes computed for it, keyed by the
+# window (scale, a, b, open) they were asked about.  It is not a dataclass
+# field, so ==, hash, repr and the JSON form ignore it, dataclasses.replace
+# starts an empty one, and it lives and dies with its function.
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """sum(coeffs[i] * t**i); defined on every scale."""
@@ -88,6 +93,7 @@ class Polynomial:
         if len(self.coeffs) == 0:
             raise ConfigError("Polynomial needs at least one coefficient")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "_delta_memo", {})
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,7 @@ class Sampled:
         object.__setattr__(
             self, "table", {float(t): float(v) for t, v in self.table.items()}
         )
+        object.__setattr__(self, "_delta_memo", {})
 
 
 Func = Union[Polynomial, Sampled]
@@ -150,11 +157,6 @@ def feval(f: Func, t: float) -> float:
         raise MissingSample(f"no sample at t={t!r}") from None
 
 
-def eval_sigma(ts: TimeScale, f: Func, t: float) -> float:
-    """f(sigma(t)), the composition used throughout the integral identities."""
-    return feval(f, ts.sigma(t))
-
-
 def delta_derivative(ts: TimeScale, f: Func, t: float) -> float:
     """Delta derivative of f at t.
 
@@ -174,20 +176,18 @@ def delta_derivative(ts: TimeScale, f: Func, t: float) -> float:
     raise NotDifferentiable(f"t={t!r} is the left-scattered maximum of its scale")
 
 
-def delta_integral(ts: TimeScale, f: Func, a: float, b: float, tol: float = 1e-12) -> float:
+def delta_integral(ts: TimeScale, f: Func, a: float, b: float) -> float:
     """Delta integral of f over [a, b), with orientation.
 
-    Discrete scales: the exact finite sum of mu(t) * f(t) over the grid
-    points of [a, b).  Real interval with a polynomial: antiderivative
-    difference.  ``tol`` is accepted for interface uniformity and ignored
-    on these exact paths.
+    Discrete scales: the finite sum of mu(t) * f(t) over the grid points of
+    [a, b).  Real interval with a polynomial: antiderivative difference.
     """
     a = ts.canon(a)
     b = ts.canon(b)
     if a == b:
         return 0.0
     if a > b:
-        return -delta_integral(ts, f, b, a, tol)
+        return -delta_integral(ts, f, b, a)
     if isinstance(ts, RealInterval):
         if isinstance(f, Polynomial):
             return poly_definite(f.coeffs, a, b)

@@ -39,7 +39,7 @@ from .ostrowski import (
     montgomery_rhs,
 )
 from .reporting import json_dumps, rows_to_csv
-from .timescale import scale_from_json
+from .timescale import TimeScale, scale_from_json
 
 DEFAULT_SHARPNESS_SPEC = {
     "scale": {"kind": "integer", "lo": 0, "hi": 8},
@@ -114,6 +114,21 @@ def _variants_for(choice: str) -> tuple[Variant, ...]:
     return (Variant.PAPER_LITERAL, Variant.CORRECTED)
 
 
+def _scale_override(ns: argparse.Namespace) -> TimeScale | None:
+    """The scale given by --scale, or None without the flag."""
+    if ns.scale is None:
+        return None
+    try:
+        return scale_from_json(json.loads(ns.scale))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--scale: {exc}") from exc
+
+
+def _spec_with_scale_override(ns: argparse.Namespace, spec: KernelSpec) -> KernelSpec:
+    ts = _scale_override(ns)
+    return spec if ts is None else dataclasses.replace(spec, ts=ts)
+
+
 def _trial_config(ns: argparse.Namespace, file_obj: dict) -> TrialConfig:
     config = config_from_json(file_obj)
     updates: dict = {}
@@ -126,10 +141,7 @@ def _trial_config(ns: argparse.Namespace, file_obj: dict) -> TrialConfig:
     if getattr(ns, "variant", None) is not None:
         updates["variants"] = _variants_for(ns.variant)
     if ns.scale is not None:
-        try:
-            updates["fixed_scale"] = scale_from_json(json.loads(ns.scale))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--scale: {exc}") from exc
+        updates["fixed_scale"] = _scale_override(ns)
     return dataclasses.replace(config, **updates) if updates else config
 
 
@@ -167,14 +179,8 @@ def _run_sharpness(ns: argparse.Namespace) -> int:
     if extra:
         raise ConfigError(f"unknown sharpness config fields {sorted(extra)}")
     theorem = ns.theorem if ns.theorem is not None else file_obj.get("theorem", "T5")
-    spec = kernel_spec_from_json(file_obj.get("spec", DEFAULT_SHARPNESS_SPEC))
-    if ns.scale is not None:
-        try:
-            ts = scale_from_json(json.loads(ns.scale))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--scale: {exc}") from exc
-        spec = KernelSpec(ts=ts, a=spec.a, b=spec.b, x=spec.x,
-                          alpha=spec.alpha, beta=spec.beta, h=spec.h)
+    spec = _spec_with_scale_override(
+        ns, kernel_spec_from_json(file_obj.get("spec", DEFAULT_SHARPNESS_SPEC)))
     config = config_from_json(file_obj.get("config", {}))
     updates: dict = {}
     if "config" not in file_obj or "trials" not in file_obj.get("config", {}):
@@ -202,14 +208,7 @@ def _run_eval(ns: argparse.Namespace) -> int:
     extra = set(file_obj) - known
     if extra:
         raise ConfigError(f"unknown eval config fields {sorted(extra)}")
-    spec = kernel_spec_from_json(file_obj["spec"])
-    if ns.scale is not None:
-        try:
-            ts = scale_from_json(json.loads(ns.scale))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--scale: {exc}") from exc
-        spec = KernelSpec(ts=ts, a=spec.a, b=spec.b, x=spec.x,
-                          alpha=spec.alpha, beta=spec.beta, h=spec.h)
+    spec = _spec_with_scale_override(ns, kernel_spec_from_json(file_obj["spec"]))
     f = func_from_json(file_obj["f"])
     g = func_from_json(file_obj["g"]) if "g" in file_obj else f
     tol = ns.tol if ns.tol is not None else 1e-10

@@ -214,7 +214,7 @@ def config_from_json(obj: dict) -> TrialConfig:
             variants=tuple(obj.get("variants", [v.value for v in base.variants])),
             fixed_scale=scale_from_json(obj["scale"]) if "scale" in obj else None,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
 
 

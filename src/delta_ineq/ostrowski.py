@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .calculus import (
     Func,
@@ -83,9 +84,16 @@ class Variant(str, Enum):
 class KernelSpec:
     """Frozen description of one kernel instance.
 
-    Requires a < b on the scale, alpha, beta >= 0 with positive sum, and x
-    strictly interior unless its branch has weight zero (x == a needs
+    Requires a < b on the scale, finite alpha, beta >= 0 with positive sum,
+    and x strictly interior unless its branch has weight zero (x == a needs
     alpha == 0, x == b needs beta == 0).
+
+    The kernel data every bound reads (the branch polynomials or the steps
+    and P values, the moments, the bracket terms) is computed on first use
+    and kept by ``cached_property`` in the instance ``__dict__``.  None of it
+    is a dataclass field: ==, hash, repr and the JSON form ignore it,
+    ``dataclasses.replace`` builds a spec with none, and it lives and dies
+    with the spec.
     """
 
     ts: TimeScale
@@ -102,6 +110,8 @@ class KernelSpec:
         object.__setattr__(self, "x", self.ts.canon(self.x))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ConfigError("weights must be finite")
         if not self.a < self.b:
             raise ConfigError("kernel needs a < b")
         if self.alpha < 0.0 or self.beta < 0.0:
@@ -112,6 +122,58 @@ class KernelSpec:
         if not (interior or (self.x == self.a and self.alpha == 0.0)
                 or (self.x == self.b and self.beta == 0.0)):
             raise ConfigError("x must be interior unless its branch weight is zero")
+
+    @cached_property
+    def _branch_polys(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The two kernel branches as polynomials in t (real-interval path)."""
+        if not isinstance(self.h, Polynomial):
+            raise ContinuousScale("kernel on a real interval needs a polynomial weight")
+        c1, c2 = _branch_coeffs(self)
+        hc = self.h.coeffs
+        left = poly_scale(poly_add(hc, (-poly_eval(hc, self.a),)), c1)
+        right = poly_scale(poly_add((poly_eval(hc, self.b),), poly_scale(hc, -1.0)), -c2)
+        return left, right
+
+    @cached_property
+    def _grid(self) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...],
+                             tuple[float, ...]]:
+        """(t, sigma(t)) steps covering [a, b), their mu, and P(t) (discrete)."""
+        c1, c2 = _branch_coeffs(self)
+        steps = tuple(_steps(self.ts, self.a, self.b))
+        mus = tuple(nxt - t for t, nxt in steps)
+        ps = tuple(_kernel_value_raw(self, c1, c2, t) for t, _ in steps)
+        return steps, mus, ps
+
+    @cached_property
+    def _moments(self) -> Moments:
+        """Delta integrals of P, |P|, P**2 over [a, b)."""
+        if isinstance(self.ts, RealInterval):
+            left, right = self._branch_polys
+            i1 = poly_definite(left, self.a, self.x) + poly_definite(right, self.x, self.b)
+            ia = _abs_definite(left, self.a, self.x) + _abs_definite(right, self.x, self.b)
+            i2 = (poly_definite(poly_mul(left, left), self.a, self.x)
+                  + poly_definite(poly_mul(right, right), self.x, self.b))
+            return Moments(i1, ia, i2)
+        _, mus, ps = self._grid
+        i1 = ia = i2 = 0.0
+        for mu, p in zip(mus, ps):
+            i1 += mu * p
+            ia += mu * abs(p)
+            i2 += mu * p * p
+        return Moments(i1, ia, i2)
+
+    @cached_property
+    def _bracket_terms(self) -> tuple[float, float]:
+        """(alpha-side, beta-side) pieces of the weight bracket
+        alpha*(h(x)-h(a))/(x-a) and beta*(h(b)-h(x))/(b-x), zero when unweighted."""
+        h = self.h
+        ba = 0.0
+        if self.alpha > 0.0:
+            ba = self.alpha * (feval(h, self.x) - feval(h, self.a)) / (self.x - self.a)
+        bb = 0.0
+        if self.beta > 0.0:
+            bb = self.beta * (feval(h, self.b) - feval(h, self.x)) / (self.b - self.x)
+        return ba, bb
 
 
 @dataclass(frozen=True)
@@ -212,20 +274,11 @@ def _steps(ts: TimeScale, a: float, b: float) -> list[tuple[float, float]]:
     return list(zip(pts, pts[1:] + [b]))
 
 
-def _branch_polys(spec: KernelSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The two kernel branches as polynomials in t (real-interval path)."""
-    if not isinstance(spec.h, Polynomial):
-        raise ContinuousScale("kernel on a real interval needs a polynomial weight")
-    c1, c2 = _branch_coeffs(spec)
-    hc = spec.h.coeffs
-    left = poly_scale(poly_add(hc, (-poly_eval(hc, spec.a),)), c1)
-    right = poly_scale(poly_add((poly_eval(hc, spec.b),), poly_scale(hc, -1.0)), -c2)
-    return left, right
-
-
 def _roots_in(coeffs: tuple[float, ...], lo: float, hi: float) -> list[float]:
     """Sign-change roots of a polynomial inside (lo, hi), by scan + bisection."""
-    if lo >= hi:
+    if lo >= hi or not any(coeffs[1:]):
+        # A constant changes no sign; the scan below would report every
+        # interior scan point of the zero polynomial as a root.
         return []
     n = ROOT_SCAN_CELLS
     step = (hi - lo) / n
@@ -278,22 +331,7 @@ class Moments:
 
 def kernel_moments(spec: KernelSpec) -> Moments:
     """Delta integrals of P, |P|, P**2 over [a, b)."""
-    if isinstance(spec.ts, RealInterval):
-        left, right = _branch_polys(spec)
-        i1 = poly_definite(left, spec.a, spec.x) + poly_definite(right, spec.x, spec.b)
-        ia = _abs_definite(left, spec.a, spec.x) + _abs_definite(right, spec.x, spec.b)
-        i2 = (poly_definite(poly_mul(left, left), spec.a, spec.x)
-              + poly_definite(poly_mul(right, right), spec.x, spec.b))
-        return Moments(i1, ia, i2)
-    c1, c2 = _branch_coeffs(spec)
-    i1 = ia = i2 = 0.0
-    for t, nxt in _steps(spec.ts, spec.a, spec.b):
-        mu = nxt - t
-        p = _kernel_value_raw(spec, c1, c2, t)
-        i1 += mu * p
-        ia += mu * abs(p)
-        i2 += mu * p * p
-    return Moments(i1, ia, i2)
+    return spec._moments
 
 
 # ---------------------------------------------------------------------------
@@ -305,30 +343,16 @@ def montgomery_lhs(spec: KernelSpec, f: Func) -> float:
     if isinstance(spec.ts, RealInterval):
         if not isinstance(f, Polynomial):
             raise ContinuousScale("montgomery_lhs on a real interval needs a polynomial f")
-        left, right = _branch_polys(spec)
+        left, right = spec._branch_polys
         fd = poly_derive(f.coeffs)
         return (poly_definite(poly_mul(left, fd), spec.a, spec.x)
                 + poly_definite(poly_mul(right, fd), spec.x, spec.b))
-    c1, c2 = _branch_coeffs(spec)
+    steps, mus, ps = spec._grid
     total = 0.0
-    for t, nxt in _steps(spec.ts, spec.a, spec.b):
-        mu = nxt - t
+    for (t, nxt), mu, p in zip(steps, mus, ps):
         fd = (feval(f, nxt) - feval(f, t)) / mu
-        total += mu * _kernel_value_raw(spec, c1, c2, t) * fd
+        total += mu * p * fd
     return total
-
-
-def _bracket_terms(spec: KernelSpec) -> tuple[float, float]:
-    """(alpha-side, beta-side) pieces of the weight bracket
-    alpha*(h(x)-h(a))/(x-a) and beta*(h(b)-h(x))/(b-x), zero when unweighted."""
-    h = spec.h
-    ba = 0.0
-    if spec.alpha > 0.0:
-        ba = spec.alpha * (feval(h, spec.x) - feval(h, spec.a)) / (spec.x - spec.a)
-    bb = 0.0
-    if spec.beta > 0.0:
-        bb = spec.beta * (feval(h, spec.b) - feval(h, spec.x)) / (spec.b - spec.x)
-    return ba, bb
 
 
 def _sigma_mean_integral(spec: KernelSpec, f: Func, lo: float, hi: float) -> float:
@@ -362,7 +386,7 @@ def montgomery_rhs(spec: KernelSpec, f: Func) -> float:
     """Closed side of the identity:
     f(x)/(alpha+beta) * bracket - S(f)/(alpha+beta)."""
     w = spec.alpha + spec.beta
-    ba, bb = _bracket_terms(spec)
+    ba, bb = spec._bracket_terms
     return feval(f, spec.x) * (ba + bb) / w - _mean_side(spec, f) / w
 
 
@@ -378,22 +402,29 @@ def identity_residual(spec: KernelSpec, f: Func) -> float:
 def _derivative_candidates(ts: TimeScale, f: Func, a: float, b: float,
                            open_interval: bool) -> list[float]:
     """f^Delta values over [a, b) (discrete) or critical values of f' on
-    [a, b] (real interval).  open_interval drops the left endpoint."""
+    [a, b] (real interval).  open_interval drops the left endpoint.  The
+    list is kept in f's memo under its window; callers must not mutate it."""
     a = ts.canon(a)
     b = ts.canon(b)
     if not a < b:
         raise EmptyRange(f"empty derivative range [{a}, {b})")
+    key = (ts, a, b, open_interval)
+    out = f._delta_memo.get(key)
+    if out is not None:
+        return out
     if isinstance(ts, RealInterval):
         if not isinstance(f, Polynomial):
             raise ContinuousScale("derivative envelope on a real interval needs a polynomial")
         fd = poly_derive(f.coeffs)
         where = [a, b] + _roots_in(poly_derive(fd), a, b)
-        return [poly_eval(fd, t) for t in where]
-    out = []
-    for t, nxt in _steps(ts, a, b):
-        if open_interval and t == a:
-            continue
-        out.append((feval(f, nxt) - feval(f, t)) / (nxt - t))
+        out = [poly_eval(fd, t) for t in where]
+    else:
+        out = []
+        for t, nxt in _steps(ts, a, b):
+            if open_interval and t == a:
+                continue
+            out.append((feval(f, nxt) - feval(f, t)) / (nxt - t))
+    f._delta_memo[key] = out
     return out
 
 
@@ -465,7 +496,7 @@ def bound_t6a(spec: KernelSpec, f: Func, g: Func,
     divides once more by w.
     """
     w = spec.alpha + spec.beta
-    ba, bb = _bracket_terms(spec)
+    ba, bb = spec._bracket_terms
     fx = feval(f, spec.x)
     gx = feval(g, spec.x)
     lhs = abs(fx * gx * (ba + bb) / w
@@ -493,7 +524,7 @@ def bound_t6b(spec: KernelSpec, f: Func, g: Func,
     the M1 M2 factor.
     """
     w = spec.alpha + spec.beta
-    ba, bb = _bracket_terms(spec)
+    ba, bb = spec._bracket_terms
     bsum = ba + bb
     fx = feval(f, spec.x)
     gx = feval(g, spec.x)
@@ -582,14 +613,11 @@ def bound_t8(spec: KernelSpec, f: Func, gamma: float | None = None,
 # proof-step identities
 
 
-def _mu_and_kernel(spec: KernelSpec) -> tuple[list[float], list[float], list[tuple[float, float]]]:
+def _mu_and_kernel(spec: KernelSpec) -> tuple[tuple[tuple[float, float], ...],
+                                              tuple[float, ...], tuple[float, ...]]:
     if isinstance(spec.ts, RealInterval):
         raise ContinuousScale("Korkine cross-check runs on discrete scales only")
-    c1, c2 = _branch_coeffs(spec)
-    steps = _steps(spec.ts, spec.a, spec.b)
-    mus = [nxt - t for t, nxt in steps]
-    ps = [_kernel_value_raw(spec, c1, c2, t) for t, _ in steps]
-    return mus, ps, steps
+    return spec._grid
 
 
 def _korkine_defect(mus: list[float], us: list[float], vs: list[float], width: float) -> float:
@@ -612,14 +640,14 @@ def korkine_residual(spec: KernelSpec, f: Func) -> float:
     by mu/(b-a); double-route: the symmetrized double sum
     (1/2W^2) sum_ij mu_i mu_j (P_i - P_j)(F_i - F_j).
     """
-    mus, ps, steps = _mu_and_kernel(spec)
+    steps, mus, ps = _mu_and_kernel(spec)
     fds = [(feval(f, nxt) - feval(f, t)) / (nxt - t) for t, nxt in steps]
     return _korkine_defect(mus, ps, fds, spec.b - spec.a)
 
 
 def kernel_variance_residual(spec: KernelSpec) -> float:
     """Same two-route check for the pair (P, P): variance of the kernel."""
-    mus, ps, _ = _mu_and_kernel(spec)
+    _, mus, ps = _mu_and_kernel(spec)
     return _korkine_defect(mus, ps, ps, spec.b - spec.a)
 
 

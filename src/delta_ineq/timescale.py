@@ -129,7 +129,7 @@ class _ScaleBase:
 
 @dataclass(frozen=True)
 class FiniteGrid(_ScaleBase):
-    """Explicit strictly increasing grid with at least two points."""
+    """Explicit strictly increasing grid of at least two finite points."""
 
     points: tuple[float, ...]
 
@@ -137,6 +137,8 @@ class FiniteGrid(_ScaleBase):
         pts = tuple(float(p) for p in self.points)
         if len(pts) < 2:
             raise ConfigError("FiniteGrid needs at least two points")
+        if not all(math.isfinite(p) for p in pts):
+            raise ConfigError("FiniteGrid points must be finite")
         if any(u >= v for u, v in zip(pts, pts[1:])):
             raise ConfigError("FiniteGrid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
@@ -234,9 +236,10 @@ class IntegerInterval(_ScaleBase):
 class QLattice(_ScaleBase):
     """Geometric lattice q**kmin, ..., q**kmax with ratio q > 1.
 
-    Members are the canonical powers ``q**k``.  Membership testing recovers
-    the exponent from log(t)/log(q) and accepts a relative drift up to
-    MEMBERSHIP_RTOL, returning the canonical power.
+    Members are the canonical powers ``q**k``, which must be finite nonzero
+    floats.  Membership testing recovers the exponent from log(t)/log(q)
+    and accepts a relative drift up to MEMBERSHIP_RTOL, returning the
+    canonical power.
     """
 
     q: float
@@ -250,6 +253,13 @@ class QLattice(_ScaleBase):
             raise ConfigError("QLattice exponents must be integers")
         if self.kmin >= self.kmax:
             raise ConfigError("QLattice needs kmin < kmax")
+        try:
+            representable = self.q ** self.kmin > 0.0 and math.isfinite(self.q ** self.kmax)
+        except OverflowError:
+            representable = False
+        if not representable:
+            raise ConfigError(f"QLattice points q**{self.kmin} .. q**{self.kmax} "
+                              "must be finite nonzero floats")
 
     @property
     def kind(self) -> str:
@@ -300,7 +310,7 @@ class QLattice(_ScaleBase):
 
 @dataclass(frozen=True)
 class RealInterval(_ScaleBase):
-    """The continuum [lo, hi]; every interior point is dense."""
+    """The continuum [lo, hi] with finite ends; every interior point is dense."""
 
     lo: float
     hi: float
@@ -310,6 +320,8 @@ class RealInterval(_ScaleBase):
             raise ConfigError("RealInterval needs lo < hi")
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ConfigError("RealInterval ends must be finite")
 
     @property
     def kind(self) -> str:
@@ -374,6 +386,6 @@ def scale_from_json(obj: dict) -> TimeScale:
             return RealInterval(lo=float(obj["lo"]), hi=float(obj["hi"]))
     except KeyError as exc:
         raise ConfigError(f"scale JSON missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scale JSON: {exc}") from exc
     raise ConfigError(f"unknown scale kind {kind!r}")

@@ -213,6 +213,15 @@ def test_eval_scale_override(tmp_path):
     assert run(["eval", "--config", str(cfgf), "--scale", "{not json"]) == 1
 
 
+def test_overflowing_qlattice_is_config_error(tmp_path, capsys):
+    cfgf = tmp_path / "q.json"
+    cfgf.write_text(json.dumps({"scale": {"kind": "qlattice", "q": 3.0,
+                                          "kmin": 0, "kmax": 700}}))
+    assert run(["verify-bounds", "--trials", "1", "--config", str(cfgf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_stdout_when_no_out_flag(capsys):
     code = run(["verify-identity", "--trials", "3", "--seed", "1"])
     assert code == 0

@@ -124,6 +124,8 @@ def test_config_json_rejects_unknown_keys():
         config_from_json({"trials": 5, "bogus": 1})
     with pytest.raises(ConfigError):
         config_from_json({"trials": "many"})
+    with pytest.raises(ConfigError):
+        config_from_json({"trials": float("inf")})
 
 
 def test_config_fixed_scale_round_trip():

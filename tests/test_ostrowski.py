@@ -48,6 +48,8 @@ from delta_ineq import (
     reduction_weighted_ostrowski,
     sup_abs_delta_derivative,
 )
+from delta_ineq.calculus import poly_definite
+from delta_ineq.ostrowski import ROOT_SCAN_CELLS, _abs_definite, _roots_in
 
 T_SQUARED = Polynomial((0.0, 0.0, 1.0))
 IDENT = Polynomial((0.0, 1.0))
@@ -85,6 +87,15 @@ def test_kernel_spec_validation():
         KernelSpec(ts=ts, a=0.0, b=4.0, x=0.0, alpha=1.0, beta=1.0, h=IDENT)
     with pytest.raises(ConfigError):
         KernelSpec(ts=ts, a=0.0, b=4.0, x=4.0, alpha=1.0, beta=1.0, h=IDENT)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+])
+def test_kernel_spec_rejects_non_finite_weights(alpha, beta):
+    with pytest.raises(ConfigError):
+        KernelSpec(ts=IntegerInterval(0, 4), a=0.0, b=4.0, x=2.0,
+                   alpha=alpha, beta=beta, h=IDENT)
 
 
 def test_kernel_spec_edge_x_with_zero_weight():
@@ -418,3 +429,21 @@ def test_reduction_rejects_non_interior():
     ts = IntegerInterval(0, 4)
     with pytest.raises(ConfigError):
         reduction_weighted_ostrowski(ts, T_SQUARED, IDENT, 0.0, 4.0, 0.0)
+
+
+# ------------------------------------------------------------- root scans
+
+@pytest.mark.parametrize("coeffs", [(0.0,), (0.0, -0.0), (3.0,)])
+def test_constant_polynomial_has_no_scan_roots(coeffs):
+    lo, hi = -0.75, 1.5
+    assert _roots_in(coeffs, lo, hi) == []
+    # Without the shortcut, the scan reported every interior scan point of
+    # the zero polynomial as a root; |p| summed piece by piece over those
+    # cuts is the value _abs_definite returned then.
+    step = (hi - lo) / ROOT_SCAN_CELLS
+    inner = [lo + i * step for i in range(1, ROOT_SCAN_CELLS)] if not any(coeffs) else []
+    cuts = [lo] + inner + [hi]
+    expected = 0.0
+    for u, v in zip(cuts, cuts[1:]):
+        expected += abs(poly_definite(coeffs, u, v))
+    assert _abs_definite(coeffs, lo, hi).hex() == expected.hex()

@@ -164,6 +164,23 @@ def test_real_interval_validation():
         RealInterval(1.0, 1.0)
 
 
+# ---------------------------------------------------------------- finiteness
+
+@pytest.mark.parametrize("make", [
+    lambda: FiniteGrid((0.0, math.nan, 1.0)),
+    lambda: FiniteGrid((0.0, 1.0, math.inf)),
+    lambda: RealInterval(0.0, math.inf),
+    lambda: RealInterval(-math.inf, 0.0),
+    lambda: QLattice(3, 0, 700),        # q**kmax overflows
+    lambda: QLattice(3.0, -700, 0),     # q**kmin underflows to 0
+    lambda: QLattice(math.inf, 0, 2),
+], ids=["grid-nan", "grid-inf", "real-inf-hi", "real-inf-lo", "qlattice-overflow",
+        "qlattice-underflow", "qlattice-inf-q"])
+def test_non_finite_scales_are_rejected(make):
+    with pytest.raises(ConfigError):
+        make()
+
+
 # ------------------------------------------------------------- serialization
 
 @pytest.mark.parametrize("ts", [
@@ -183,6 +200,8 @@ def test_scale_from_json_rejects_garbage():
         scale_from_json({"kind": "integer", "lo": 5, "hi": 1})
     with pytest.raises(ConfigError):
         scale_from_json("not a dict")
+    with pytest.raises(ConfigError):
+        scale_from_json({"kind": "integer", "lo": 0, "hi": math.inf})
 
 
 @given(st.lists(st.floats(-50, 50, allow_nan=False), min_size=2,
