@@ -76,11 +76,13 @@ def poly_definite(coeffs: tuple[float, ...], lo: float, hi: float) -> float:
 # function representations
 
 
-# Each function object also carries ``_delta_memo``: the f^Delta candidate
-# lists that ostrowski's derivative envelopes computed for it, keyed by the
-# window (scale, a, b, open) they were asked about.  It is not a dataclass
-# field, so ==, hash, repr and the JSON form ignore it, dataclasses.replace
-# starts an empty one, and it lives and dies with its function.
+# Each function object also carries ``_delta_memo``, filled by ostrowski: per
+# discrete window (scale, a, b) the step table (mu, f^Delta, f(sigma)) that
+# every discrete delta integral and f^Delta envelope reads, and per real
+# window (scale, a, b, open) the f' candidate list of the derivative
+# envelopes.  It is not a dataclass field, so ==, hash, repr and the JSON
+# form ignore it, dataclasses.replace starts an empty one, and it lives and
+# dies with its function.
 
 
 @dataclass(frozen=True)

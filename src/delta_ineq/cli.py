@@ -18,6 +18,7 @@ from .calculus import func_from_json
 from .errors import ConfigError, DeltaIneqError
 from .harness import (
     TrialConfig,
+    bound_row,
     config_from_json,
     run_bound_suite,
     run_crosscheck_suite,
@@ -27,12 +28,8 @@ from .harness import (
 from .ostrowski import (
     KernelSpec,
     Variant,
-    bound_t5,
-    bound_t6a,
-    bound_t6b,
-    bound_t7,
-    bound_t8,
     delta_derivative_range,
+    evaluate_bounds,
     kernel_moments,
     kernel_spec_from_json,
     montgomery_lhs,
@@ -155,20 +152,17 @@ def _write(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _emit_suite(report, ns: argparse.Namespace) -> None:
+def _run_suite(ns: argparse.Namespace, runner, has_rows: bool = False) -> int:
+    config = _trial_config(ns, _load_config_file(ns.config))
     if ns.format == "csv":
-        if not report.rows:
+        if not has_rows:
             raise ConfigError("--format csv needs bound rows; "
                               "use it with verify-bounds or eval")
+        report = runner(config, keep_rows=True)
         _write(rows_to_csv(report.rows), ns.out)
     else:
+        report = runner(config)
         _write(json_dumps(report.to_json()), ns.out)
-
-
-def _run_suite(ns: argparse.Namespace, runner) -> int:
-    config = _trial_config(ns, _load_config_file(ns.config))
-    report = runner(config)
-    _emit_suite(report, ns)
     return 0 if report.passed else 2
 
 
@@ -223,35 +217,11 @@ def _run_eval(ns: argparse.Namespace) -> int:
     lhs = montgomery_lhs(spec, f)
     rhs = montgomery_rhs(spec, f)
     mom = kernel_moments(spec)
-    t7_l2 = bound_t7(spec, f, "l2")
-    t7_gruss = bound_t7(spec, f, "gruss", gamma, big_gamma)
-    t8 = bound_t8(spec, f, gamma, big_gamma)
-    rows: list[dict] = []
-    findings: list[dict] = []
-    failures: list[dict] = []
-    for variant in _variants_for(getattr(ns, "variant", "both") or "both"):
-        reports = [
-            bound_t5(spec, f, variant),
-            bound_t6a(spec, f, g, variant),
-            bound_t6b(spec, f, g, variant),
-            dataclasses.replace(t7_l2, variant=variant),
-            dataclasses.replace(t7_gruss, variant=variant),
-            dataclasses.replace(t8, variant=variant),
-        ]
-        for rep in reports:
-            row = {
-                "trial_id": 0,
-                "theorem": rep.theorem,
-                "variant": rep.variant.value,
-                "scale_kind": rep.summary.scale_kind,
-                "a": rep.summary.a, "b": rep.summary.b, "x": rep.summary.x,
-                "alpha": rep.summary.alpha, "beta": rep.summary.beta,
-                "lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack,
-                "pass": rep.passes(tol),
-            }
-            rows.append(row)
-            if not row["pass"]:
-                (failures if variant is Variant.CORRECTED else findings).append(row)
+    _, reports = evaluate_bounds(spec, f, g, _variants_for(ns.variant), gamma, big_gamma)
+    rows = [bound_row(0, rep, tol) for rep in reports]
+    failing = [row for row in rows if not row["pass"]]
+    findings = [row for row in failing if row["variant"] == Variant.PAPER_LITERAL.value]
+    failures = [row for row in failing if row["variant"] == Variant.CORRECTED.value]
 
     if ns.format == "csv":
         _write(rows_to_csv(rows), ns.out)
@@ -284,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         if ns.command == "verify-identity":
             return _run_suite(ns, run_identity_suite)
         if ns.command == "verify-bounds":
-            return _run_suite(ns, run_bound_suite)
+            return _run_suite(ns, run_bound_suite, has_rows=True)
         if ns.command == "crosscheck":
             return _run_suite(ns, run_crosscheck_suite)
         if ns.command == "sharpness":

@@ -29,17 +29,14 @@ from .calculus import (
 )
 from .errors import ConfigError, UnsupportedTheorem
 from .ostrowski import (
+    BOUNDS,
     THEOREMS,
     BoundReport,
     KernelSpec,
     Variant,
-    bound_t5,
-    bound_t6a,
-    bound_t6b,
-    bound_t7,
-    bound_t8,
     closed_form_rhs,
     delta_derivative_range,
+    evaluate_bounds,
     gruss_variance_check,
     kernel_moments,
     kernel_spec_from_json,
@@ -321,7 +318,7 @@ class SuiteReport:
     ``checks`` maps a check label to its aggregate; ``findings`` hold
     paper-literal violations (expected), ``failures`` everything that
     breaks the engine's guarantees.  ``rows`` carry the per-evaluation
-    bound records used for CSV output (bound suites only).
+    bound records used for CSV output (bound suites asked to keep them).
     """
 
     suite: str
@@ -547,7 +544,8 @@ def _product_delta(ts: TimeScale, f: Func, g: Func, t: float) -> float:
     return poly_eval(poly_derive(poly_mul(f.coeffs, g.coeffs)), t)
 
 
-def _bound_row(trial: int, rep: BoundReport, tol: float) -> dict:
+def bound_row(trial: int, rep: BoundReport, tol: float) -> dict:
+    """One bound evaluation as a CSV row (see reporting.CSV_COLUMNS)."""
     s = rep.summary
     return {
         "trial_id": trial,
@@ -581,13 +579,15 @@ def _bound_witness(seed: int, trial: int, rep: BoundReport, spec: KernelSpec,
     return w
 
 
-def run_bound_suite(config: TrialConfig) -> SuiteReport:
+def run_bound_suite(config: TrialConfig, keep_rows: bool = False) -> SuiteReport:
     """Evaluate every theorem under the configured variants per trial.
 
     Corrected-variant violations are failures; paper-literal violations are
     findings.  T7/T8 are printed weight-scale invariant, so their rows are
     identical across variants.  gamma, Gamma are the exact range of f^Delta.
     The L2-vs-Gruss ordering of the T7 right sides is asserted per trial.
+    The per-evaluation rows, which only CSV output writes, are kept only
+    with keep_rows.
     """
     _require_trials(config)
     t0 = time.perf_counter()
@@ -602,36 +602,27 @@ def run_bound_suite(config: TrialConfig) -> SuiteReport:
         rng = trial_rng(config.seed, i)
         spec, f, g = _draw_trial(rng, config, with_g=True)
         gamma, big_gamma = delta_derivative_range(spec.ts, f, spec.a, spec.b)
-        t7_l2 = bound_t7(spec, f, "l2")
-        t7_gruss = bound_t7(spec, f, "gruss", gamma, big_gamma)
-        t8 = bound_t8(spec, f, gamma, big_gamma)
+        once, reports = evaluate_bounds(spec, f, g, config.variants, gamma, big_gamma)
+        t7_l2, t7_gruss = once["T7-L2"], once["T7-Gruss"]
         chain_res = max(0.0, t7_l2.rhs - t7_gruss.rhs)
         if not chain.add(chain_res, max(1.0, t7_gruss.rhs), tol):
             failures.append(_bound_witness(config.seed, i, t7_l2, spec, f, None,
                                            gamma, big_gamma) | {"check": "t7-chain"})
 
-        for variant in config.variants:
-            reports = [
-                bound_t5(spec, f, variant),
-                bound_t6a(spec, f, g, variant),
-                bound_t6b(spec, f, g, variant),
-                dataclasses.replace(t7_l2, variant=variant),
-                dataclasses.replace(t7_gruss, variant=variant),
-                dataclasses.replace(t8, variant=variant),
-            ]
-            for rep in reports:
-                key = f"{rep.theorem}/{variant.value}"
-                agg = aggs.setdefault(key, _BoundAgg())
-                ok = agg.add(rep, tol)
-                rows.append(_bound_row(i, rep, tol))
-                if not ok:
-                    witness = _bound_witness(config.seed, i, rep, spec, f,
-                                             g if rep.theorem in ("T6a", "T6b") else None,
-                                             gamma, big_gamma)
-                    if variant is Variant.CORRECTED:
-                        failures.append(witness)
-                    else:
-                        findings.append(witness)
+        for rep in reports:
+            key = f"{rep.theorem}/{rep.variant.value}"
+            agg = aggs.setdefault(key, _BoundAgg())
+            ok = agg.add(rep, tol)
+            if keep_rows:
+                rows.append(bound_row(i, rep, tol))
+            if not ok:
+                witness = _bound_witness(config.seed, i, rep, spec, f,
+                                         g if _needs_g(rep.theorem) else None,
+                                         gamma, big_gamma)
+                if rep.variant is Variant.CORRECTED:
+                    failures.append(witness)
+                else:
+                    findings.append(witness)
 
     checks = {key: agg.to_json() for key, agg in sorted(aggs.items())}
     checks["t7-chain"] = chain.to_json()
@@ -740,20 +731,7 @@ def _needs_g(theorem: str) -> bool:
 
 def _sharpness_ratio(theorem: str, spec: KernelSpec, f: Func, g: Func | None,
                      tol: float) -> float:
-    if theorem == "T5":
-        rep = bound_t5(spec, f, Variant.CORRECTED)
-    elif theorem == "T6a":
-        rep = bound_t6a(spec, f, g, Variant.CORRECTED)
-    elif theorem == "T6b":
-        rep = bound_t6b(spec, f, g, Variant.CORRECTED)
-    elif theorem == "T7-L2":
-        rep = bound_t7(spec, f, "l2")
-    elif theorem == "T7-Gruss":
-        rep = bound_t7(spec, f, "gruss")
-    elif theorem == "T8":
-        rep = bound_t8(spec, f)
-    else:
-        raise UnsupportedTheorem(f"unknown theorem id {theorem!r}")
+    rep = BOUNDS[theorem](spec, f, g, Variant.CORRECTED, None, None)
     if rep.rhs > 0.0:
         return rep.lhs / rep.rhs
     return 0.0 if rep.lhs <= tol else float("inf")
@@ -844,20 +822,9 @@ def replay_witness(witness: dict) -> dict:
         theorem = witness["theorem"]
         variant = Variant(witness["variant"])
         g = func_from_json(witness["g"]) if "g" in witness else None
-        if theorem == "T5":
-            rep = bound_t5(spec, f, variant)
-        elif theorem == "T6a":
-            rep = bound_t6a(spec, f, g, variant)
-        elif theorem == "T6b":
-            rep = bound_t6b(spec, f, g, variant)
-        elif theorem == "T7-L2":
-            rep = bound_t7(spec, f, "l2")
-        elif theorem == "T7-Gruss":
-            rep = bound_t7(spec, f, "gruss", witness.get("gamma"), witness.get("big_gamma"))
-        elif theorem == "T8":
-            rep = bound_t8(spec, f, witness.get("gamma"), witness.get("big_gamma"))
-        else:
+        if theorem not in BOUNDS:
             raise ConfigError(f"unknown theorem id {theorem!r}")
+        rep = BOUNDS[theorem](spec, f, g, variant, witness.get("gamma"), witness.get("big_gamma"))
         return {"lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack}
     if kind == "identity":
         check = witness["check"]

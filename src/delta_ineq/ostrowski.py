@@ -60,8 +60,6 @@ from .timescale import (
     scale_to_json,
 )
 
-THEOREMS = ("T5", "T6a", "T6b", "T7-L2", "T7-Gruss", "T8")
-
 # Dual-route internal checks (expanded vs factored forms) use this.
 CONSISTENCY_RTOL = 1e-10
 
@@ -88,12 +86,12 @@ class KernelSpec:
     and x strictly interior unless its branch has weight zero (x == a needs
     alpha == 0, x == b needs beta == 0).
 
-    The kernel data every bound reads (the branch polynomials or the steps
-    and P values, the moments, the bracket terms) is computed on first use
-    and kept by ``cached_property`` in the instance ``__dict__``.  None of it
-    is a dataclass field: ==, hash, repr and the JSON form ignore it,
-    ``dataclasses.replace`` builds a spec with none, and it lives and dies
-    with the spec.
+    The kernel data every bound reads (the branch polynomials or the step
+    table of mu, P and h^Delta, the moments, the bracket terms) is computed
+    on first use and kept by ``cached_property`` in the instance
+    ``__dict__``.  None of it is a dataclass field: ==, hash, repr and the
+    JSON form ignore it, ``dataclasses.replace`` builds a spec with none,
+    and it lives and dies with the spec.
     """
 
     ts: TimeScale
@@ -135,14 +133,15 @@ class KernelSpec:
         return left, right
 
     @cached_property
-    def _grid(self) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...],
-                             tuple[float, ...]]:
-        """(t, sigma(t)) steps covering [a, b), their mu, and P(t) (discrete)."""
+    def _grid(self) -> tuple[list[float], list[float], list[float], int]:
+        """Per step of [a, b) (discrete): mu, P(t) and h^Delta(t); and k, the
+        number of steps with t < x, so [0, k) covers [a, x) and [k, n) [x, b)."""
         c1, c2 = _branch_coeffs(self)
-        steps = tuple(_steps(self.ts, self.a, self.b))
-        mus = tuple(nxt - t for t, nxt in steps)
-        ps = tuple(_kernel_value_raw(self, c1, c2, t) for t, _ in steps)
-        return steps, mus, ps
+        pts, mus, hv, hds = _tabulate(self.ts, self.h, self.a, self.b)
+        k = sum(1 for t in pts if t < self.x)
+        ps = [c1 * (hv[i] - hv[0]) if i < k else -c2 * (hv[-1] - hv[i])
+              for i in range(len(mus))]
+        return mus, ps, hds, k
 
     @cached_property
     def _moments(self) -> Moments:
@@ -154,7 +153,7 @@ class KernelSpec:
             i2 = (poly_definite(poly_mul(left, left), self.a, self.x)
                   + poly_definite(poly_mul(right, right), self.x, self.b))
             return Moments(i1, ia, i2)
-        _, mus, ps = self._grid
+        mus, ps, _, _ = self._grid
         i1 = ia = i2 = 0.0
         for mu, p in zip(mus, ps):
             i1 += mu * p
@@ -261,17 +260,29 @@ def kernel_P(spec: KernelSpec, t: float) -> float:
     return -c2 * (feval(h, spec.b) - feval(h, t))
 
 
-def _kernel_value_raw(spec: KernelSpec, c1: float, c2: float, t: float) -> float:
-    """kernel_P without re-canonicalization, for enumerated grid points."""
-    if t < spec.x:
-        return c1 * (feval(spec.h, t) - feval(spec.h, spec.a))
-    return -c2 * (feval(spec.h, spec.b) - feval(spec.h, t))
-
-
-def _steps(ts: TimeScale, a: float, b: float) -> list[tuple[float, float]]:
-    """(t, sigma(t)) pairs covering [a, b) on a discrete scale."""
+def _tabulate(ts: TimeScale, f: Func, a: float, b: float
+              ) -> tuple[list[float], list[float], list[float], list[float]]:
+    """The points t of [a, b) on a discrete scale; per step mu(t); f at each
+    point and at b, so f(sigma(t)) follows f(t); and per step f^Delta(t)."""
     pts = ts.grid_points(a, b)
-    return list(zip(pts, pts[1:] + [b]))
+    vals = [feval(f, t) for t in pts]
+    vals.append(feval(f, b))
+    mus = [nxt - t for t, nxt in zip(pts, pts[1:] + [b])]
+    fds = [(fnxt - ft) / mu for ft, fnxt, mu in zip(vals, vals[1:], mus)]
+    return pts, mus, vals, fds
+
+
+def _step_table(ts: TimeScale, f: Func, a: float, b: float
+                ) -> tuple[list[float], list[float], list[float]]:
+    """(mu, f^Delta, f(sigma)) per step of the discrete window [a, b), with a
+    and b canonical.  Kept in f's memo under (ts, a, b) and shared by every
+    caller: treat it as read-only."""
+    key = (ts, a, b)
+    table = f._delta_memo.get(key)
+    if table is None:
+        _, mus, vals, fds = _tabulate(ts, f, a, b)
+        table = f._delta_memo[key] = (mus, fds, vals[1:])
+    return table
 
 
 def _roots_in(coeffs: tuple[float, ...], lo: float, hi: float) -> list[float]:
@@ -347,27 +358,30 @@ def montgomery_lhs(spec: KernelSpec, f: Func) -> float:
         fd = poly_derive(f.coeffs)
         return (poly_definite(poly_mul(left, fd), spec.a, spec.x)
                 + poly_definite(poly_mul(right, fd), spec.x, spec.b))
-    steps, mus, ps = spec._grid
+    mus, ps, _, _ = spec._grid
+    _, fds, _ = _step_table(spec.ts, f, spec.a, spec.b)
     total = 0.0
-    for (t, nxt), mu, p in zip(steps, mus, ps):
-        fd = (feval(f, nxt) - feval(f, t)) / mu
+    for mu, p, fd in zip(mus, ps, fds):
         total += mu * p * fd
     return total
 
 
 def _sigma_mean_integral(spec: KernelSpec, f: Func, lo: float, hi: float) -> float:
-    """Delta integral of h^Delta(t) * f(sigma(t)) over [lo, hi)."""
+    """Delta integral of h^Delta(t) * f(sigma(t)) over [lo, hi), where lo
+    and hi are each one of the spec's a, x, b."""
     if lo == hi:
         return 0.0
     if isinstance(spec.ts, RealInterval):
         if not (isinstance(f, Polynomial) and isinstance(spec.h, Polynomial)):
             raise ContinuousScale("sigma-mean on a real interval needs polynomials")
         return poly_definite(poly_mul(poly_derive(spec.h.coeffs), f.coeffs), lo, hi)
+    mus, _, hds, k = spec._grid
+    _, _, fsig = _step_table(spec.ts, f, spec.a, spec.b)
+    i = 0 if lo == spec.a else k
+    j = k if hi == spec.x else len(mus)
     total = 0.0
-    for t, nxt in _steps(spec.ts, lo, hi):
-        mu = nxt - t
-        hd = (feval(spec.h, nxt) - feval(spec.h, t)) / mu
-        total += mu * hd * feval(f, nxt)
+    for mu, hd, fs in zip(mus[i:j], hds[i:j], fsig[i:j]):
+        total += mu * hd * fs
     return total
 
 
@@ -403,27 +417,24 @@ def _derivative_candidates(ts: TimeScale, f: Func, a: float, b: float,
                            open_interval: bool) -> list[float]:
     """f^Delta values over [a, b) (discrete) or critical values of f' on
     [a, b] (real interval).  open_interval drops the left endpoint.  The
-    list is kept in f's memo under its window; callers must not mutate it."""
+    values are kept in f's memo under their window; callers must not mutate
+    them."""
     a = ts.canon(a)
     b = ts.canon(b)
     if not a < b:
         raise EmptyRange(f"empty derivative range [{a}, {b})")
+    if not isinstance(ts, RealInterval):
+        fds = _step_table(ts, f, a, b)[1]
+        return fds[1:] if open_interval else fds
     key = (ts, a, b, open_interval)
     out = f._delta_memo.get(key)
     if out is not None:
         return out
-    if isinstance(ts, RealInterval):
-        if not isinstance(f, Polynomial):
-            raise ContinuousScale("derivative envelope on a real interval needs a polynomial")
-        fd = poly_derive(f.coeffs)
-        where = [a, b] + _roots_in(poly_derive(fd), a, b)
-        out = [poly_eval(fd, t) for t in where]
-    else:
-        out = []
-        for t, nxt in _steps(ts, a, b):
-            if open_interval and t == a:
-                continue
-            out.append((feval(f, nxt) - feval(f, t)) / (nxt - t))
+    if not isinstance(f, Polynomial):
+        raise ContinuousScale("derivative envelope on a real interval needs a polynomial")
+    fd = poly_derive(f.coeffs)
+    where = [a, b] + _roots_in(poly_derive(fd), a, b)
+    out = [poly_eval(fd, t) for t in where]
     f._delta_memo[key] = out
     return out
 
@@ -555,10 +566,9 @@ def _int_fd_squared(ts: TimeScale, f: Func, a: float, b: float) -> float:
             raise ContinuousScale("needs a polynomial f on a real interval")
         fd = poly_derive(f.coeffs)
         return poly_definite(poly_mul(fd, fd), a, b)
+    mus, fds, _ = _step_table(ts, f, a, b)
     total = 0.0
-    for t, nxt in _steps(ts, a, b):
-        mu = nxt - t
-        fd = (feval(f, nxt) - feval(f, t)) / mu
+    for mu, fd in zip(mus, fds):
         total += mu * fd * fd
     return total
 
@@ -609,15 +619,55 @@ def bound_t8(spec: KernelSpec, f: Func, gamma: float | None = None,
     return BoundReport("T8", Variant.CORRECTED, lhs, rhs, rhs - lhs, summarize(spec))
 
 
+# Evaluator per theorem id, called as (spec, f, g, variant, gamma, big_gamma).
+# Only the product bounds read g, only T7-Gruss and T8 read the bracket
+# [gamma, Gamma] (None: the exact range of f^Delta).  T7 and T8 are printed
+# weight-scale invariant: they ignore the variant and tag reports CORRECTED.
+BOUNDS = {
+    "T5": lambda spec, f, g, variant, gamma, big_gamma: bound_t5(spec, f, variant),
+    "T6a": lambda spec, f, g, variant, gamma, big_gamma: bound_t6a(spec, f, g, variant),
+    "T6b": lambda spec, f, g, variant, gamma, big_gamma: bound_t6b(spec, f, g, variant),
+    "T7-L2": lambda spec, f, g, variant, gamma, big_gamma: bound_t7(spec, f, "l2"),
+    "T7-Gruss": lambda spec, f, g, variant, gamma, big_gamma:
+        bound_t7(spec, f, "gruss", gamma, big_gamma),
+    "T8": lambda spec, f, g, variant, gamma, big_gamma: bound_t8(spec, f, gamma, big_gamma),
+}
+THEOREMS = tuple(BOUNDS)
+VARIANT_FREE = ("T7-L2", "T7-Gruss", "T8")
+
+
+def evaluate_bounds(spec: KernelSpec, f: Func, g: Func, variants: tuple[Variant, ...],
+                    gamma: float | None = None, big_gamma: float | None = None
+                    ) -> tuple[dict[str, BoundReport], list[BoundReport]]:
+    """Every theorem under each variant, in THEOREMS order within a variant.
+
+    The variant-free theorems are evaluated once, before the others; they
+    come back by id as evaluated (tagged CORRECTED), and in the list
+    re-tagged with each variant.
+    """
+    once = {name: BOUNDS[name](spec, f, g, Variant.CORRECTED, gamma, big_gamma)
+            for name in VARIANT_FREE}
+    reports = []
+    for variant in variants:
+        for name in THEOREMS:
+            rep = once.get(name)
+            if rep is None:
+                rep = BOUNDS[name](spec, f, g, variant, gamma, big_gamma)
+            else:
+                rep = BoundReport(rep.theorem, variant, rep.lhs, rep.rhs, rep.slack, rep.summary)
+            reports.append(rep)
+    return once, reports
+
+
 # ---------------------------------------------------------------------------
 # proof-step identities
 
 
-def _mu_and_kernel(spec: KernelSpec) -> tuple[tuple[tuple[float, float], ...],
-                                              tuple[float, ...], tuple[float, ...]]:
+def _mu_and_kernel(spec: KernelSpec) -> tuple[list[float], list[float]]:
     if isinstance(spec.ts, RealInterval):
         raise ContinuousScale("Korkine cross-check runs on discrete scales only")
-    return spec._grid
+    mus, ps, _, _ = spec._grid
+    return mus, ps
 
 
 def _korkine_defect(mus: list[float], us: list[float], vs: list[float], width: float) -> float:
@@ -640,14 +690,14 @@ def korkine_residual(spec: KernelSpec, f: Func) -> float:
     by mu/(b-a); double-route: the symmetrized double sum
     (1/2W^2) sum_ij mu_i mu_j (P_i - P_j)(F_i - F_j).
     """
-    steps, mus, ps = _mu_and_kernel(spec)
-    fds = [(feval(f, nxt) - feval(f, t)) / (nxt - t) for t, nxt in steps]
+    mus, ps = _mu_and_kernel(spec)
+    _, fds, _ = _step_table(spec.ts, f, spec.a, spec.b)
     return _korkine_defect(mus, ps, fds, spec.b - spec.a)
 
 
 def kernel_variance_residual(spec: KernelSpec) -> float:
     """Same two-route check for the pair (P, P): variance of the kernel."""
-    _, mus, ps = _mu_and_kernel(spec)
+    mus, ps = _mu_and_kernel(spec)
     return _korkine_defect(mus, ps, ps, spec.b - spec.a)
 
 
@@ -791,11 +841,13 @@ def reduction_weighted_ostrowski(ts: TimeScale, f: Func, h: Func,
         right = poly_add((poly_eval(h.coeffs, b),), poly_scale(h.coeffs, -1.0))
         bracket = _abs_definite(left, a, x) + _abs_definite(right, x, b)
     else:
+        mus, _, _, k = spec._grid
+        hv = [feval(h, a)] + _step_table(ts, h, a, b)[2]    # h at every point of [a, b]
         bracket = 0.0
-        for t, nxt in _steps(ts, a, x):
-            bracket += (nxt - t) * abs(feval(h, t) - feval(h, a))
-        for t, nxt in _steps(ts, x, b):
-            bracket += (nxt - t) * abs(feval(h, b) - feval(h, t))
+        for i in range(k):
+            bracket += mus[i] * abs(hv[i] - hv[0])
+        for i in range(k, len(mus)):
+            bracket += mus[i] * abs(hv[-1] - hv[i])
     m = sup_abs_delta_derivative(ts, f, a, b)
     rhs = m / width * bracket
     other = m * kernel_moments(spec).int_abs_p

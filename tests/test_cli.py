@@ -92,6 +92,22 @@ def test_verify_bounds_csv_contract(tmp_path):
         float(cells[9]); float(cells[10]); float(cells[11])
 
 
+def test_verify_bounds_builds_rows_only_for_csv(monkeypatch, tmp_path):
+    real = cli.run_bound_suite
+    kept = []
+
+    def spy(config, **kwargs):
+        rep = real(config, **kwargs)
+        kept.append(len(rep.rows))
+        return rep
+
+    monkeypatch.setattr(cli, "run_bound_suite", spy)
+    assert run(["verify-bounds", "--trials", "4", "--out", str(tmp_path / "b.json")]) == 0
+    assert run(["verify-bounds", "--trials", "4", "--format", "csv",
+                "--out", str(tmp_path / "b.csv")]) == 0
+    assert kept == [0, 4 * 6 * 2]
+
+
 def test_csv_rejected_without_bound_rows(capsys):
     assert run(["verify-identity", "--trials", "2", "--format", "csv"]) == 1
     assert run(["sharpness", "--trials", "2", "--format", "csv"]) == 1

@@ -190,7 +190,7 @@ def test_identity_suite_requires_trials():
 
 def test_bound_suite_shape_and_verdicts():
     cfg = TrialConfig(seed=13, n_trials=120)
-    rep = run_bound_suite(cfg)
+    rep = run_bound_suite(cfg, keep_rows=True)
     assert rep.passed                       # corrected bounds never fail
     assert rep.findings                     # literal printings do fail
     assert not rep.failures
@@ -199,6 +199,14 @@ def test_bound_suite_shape_and_verdicts():
         assert row["slack"] == row["rhs"] - row["lhs"]
     for key in ("T5/corrected", "T6b/literal", "t7-chain"):
         assert key in rep.checks
+
+
+def test_bound_suite_keeps_rows_only_when_asked():
+    cfg = TrialConfig(seed=13, n_trials=30)
+    lean = run_bound_suite(cfg)
+    full = run_bound_suite(cfg, keep_rows=True)
+    assert lean.rows == [] and len(full.rows) == 30 * 6 * 2
+    assert lean.to_json(include_wall_time=False) == full.to_json(include_wall_time=False)
 
 
 def test_bound_suite_findings_replay_bit_exact():

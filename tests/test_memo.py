@@ -1,13 +1,14 @@
-"""Memoized derived data: the kernel data a KernelSpec keeps and the f^Delta
-candidate lists a function keeps.
+"""Memoized derived data: the kernel data a KernelSpec keeps and the step
+tables and f^Delta candidate lists a function keeps.
 
 A warm object must answer bit for bit as a fresh copy rebuilt from JSON,
-and the memo must stay invisible: not in ==, hash, repr or JSON, not
-carried over by dataclasses.replace, and never answering for another
-window.
+and as reference loops that enumerate the grid on every call; the memo must
+stay invisible: not in ==, hash, repr or JSON, not carried over by
+dataclasses.replace, and never answering for another window.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -26,11 +27,17 @@ from delta_ineq import (
     bound_t7,
     bound_t8,
     delta_derivative_range,
+    feval,
     func_from_json,
     func_to_json,
+    gruss_variance_check,
     kernel_moments,
     kernel_spec_from_json,
     kernel_spec_to_json,
+    korkine_residual,
+    montgomery_lhs,
+    montgomery_rhs,
+    reduction_weighted_ostrowski,
     sup_abs_delta_derivative,
 )
 
@@ -222,4 +229,259 @@ def test_function_memo_never_answers_for_another_window():
         answers.append(got)
     # The polynomial's windows differ too, so a shared memo entry would show.
     assert answers[7] != answers[8] and answers[8] != answers[9]
-    assert len(f._delta_memo) == 7 and len(poly._delta_memo) == 4
+    assert len(f._delta_memo) == 4 and len(poly._delta_memo) == 4
+
+
+# ---------------------------------------------------------------------------
+# discrete step tables against per-call reference loops
+
+
+def _grid_x_after_a():
+    ts = FiniteGrid((-2.0, -1.75, 0.5, 1.25, 4.0, 4.5, 6.0))
+    spec = KernelSpec(ts=ts, a=-2.0, b=6.0, x=-1.75, alpha=0.9, beta=2.1, h=CUBIC)
+    return spec, _table(ts), _table(ts, 0.75)
+
+
+def _integer_x_before_b():
+    ts = IntegerInterval(-3, 5)
+    spec = KernelSpec(ts=ts, a=-3, b=5, x=4, alpha=1.7, beta=0.3, h=_table(ts, 0.2))
+    return spec, CUBIC, _table(ts, -0.5)
+
+
+def _qlattice_x_before_b():
+    ts = QLattice(1.25, -3, 6)
+    spec = KernelSpec(ts=ts, a=1.25 ** -3, b=1.25 ** 6, x=1.25 ** 5, alpha=0.6, beta=1.9,
+                      h=QUADRATIC)
+    return spec, _table(ts), LINEAR
+
+
+def _qlattice_alpha_zero():
+    ts = QLattice(2.0, -1, 6)
+    spec = KernelSpec(ts=ts, a=0.5, b=64.0, x=0.5, alpha=0.0, beta=1.0, h=_table(ts, 0.1))
+    return spec, CUBIC, _table(ts)
+
+
+def _qlattice_constant_h():
+    ts = QLattice(1.5, 0, 7)
+    spec = KernelSpec(ts=ts, a=1.0, b=1.5 ** 7, x=1.5 ** 3, alpha=2.0, beta=1.0,
+                      h=Polynomial((-1.5,)))
+    return spec, QUADRATIC, _table(ts, 0.5)
+
+
+DISCRETE_CASES = {
+    "grid": _grid, "grid-beta0": _grid_beta_zero, "grid-x-after-a": _grid_x_after_a,
+    "integer": _integer, "integer-alpha0": _integer_alpha_zero,
+    "integer-constant-h": _integer_constant_h, "integer-x-before-b": _integer_x_before_b,
+    "qlattice": _qlattice, "qlattice-x-before-b": _qlattice_x_before_b,
+    "qlattice-alpha0": _qlattice_alpha_zero, "qlattice-constant-h": _qlattice_constant_h,
+}
+
+
+def _ref_steps(ts, a, b):
+    pts = ts.grid_points(a, b)
+    return list(zip(pts, pts[1:] + [b]))
+
+
+def _ref_fds(ts, f, a, b, open_interval=False):
+    return [(feval(f, nxt) - feval(f, t)) / (nxt - t) for t, nxt in _ref_steps(ts, a, b)
+            if not (open_interval and t == a)]
+
+
+def _ref_kernel(spec):
+    """(mu, P) per step, P from the two branches evaluated point by point."""
+    w = spec.alpha + spec.beta
+    c1 = spec.alpha / (w * (spec.x - spec.a)) if spec.alpha > 0.0 else 0.0
+    c2 = spec.beta / (w * (spec.b - spec.x)) if spec.beta > 0.0 else 0.0
+    h = spec.h
+    out = []
+    for t, nxt in _ref_steps(spec.ts, spec.a, spec.b):
+        if t < spec.x:
+            p = c1 * (feval(h, t) - feval(h, spec.a))
+        else:
+            p = -c2 * (feval(h, spec.b) - feval(h, t))
+        out.append((nxt - t, p))
+    return out
+
+
+def _ref_lhs(spec, f):
+    total = 0.0
+    for (t, nxt), (mu, p) in zip(_ref_steps(spec.ts, spec.a, spec.b), _ref_kernel(spec)):
+        fd = (feval(f, nxt) - feval(f, t)) / mu
+        total += mu * p * fd
+    return total
+
+
+def _ref_sigma_mean(spec, f, lo, hi):
+    if lo == hi:
+        return 0.0
+    total = 0.0
+    for t, nxt in _ref_steps(spec.ts, lo, hi):
+        mu = nxt - t
+        hd = (feval(spec.h, nxt) - feval(spec.h, t)) / mu
+        total += mu * hd * feval(f, nxt)
+    return total
+
+
+def _ref_mean_side(spec, f):
+    s = 0.0
+    if spec.alpha > 0.0:
+        s += spec.alpha / (spec.x - spec.a) * _ref_sigma_mean(spec, f, spec.a, spec.x)
+    if spec.beta > 0.0:
+        s += spec.beta / (spec.b - spec.x) * _ref_sigma_mean(spec, f, spec.x, spec.b)
+    return s
+
+
+def _ref_bracket(spec):
+    h = spec.h
+    ba = bb = 0.0
+    if spec.alpha > 0.0:
+        ba = spec.alpha * (feval(h, spec.x) - feval(h, spec.a)) / (spec.x - spec.a)
+    if spec.beta > 0.0:
+        bb = spec.beta * (feval(h, spec.b) - feval(h, spec.x)) / (spec.b - spec.x)
+    return ba + bb
+
+
+def _ref_rhs(spec, f):
+    w = spec.alpha + spec.beta
+    return feval(f, spec.x) * _ref_bracket(spec) / w - _ref_mean_side(spec, f) / w
+
+
+def _ref_moments(spec):
+    i1 = ia = i2 = 0.0
+    for mu, p in _ref_kernel(spec):
+        i1 += mu * p
+        ia += mu * abs(p)
+        i2 += mu * p * p
+    return i1, ia, i2
+
+
+def _ref_sup(spec, f):
+    return max((abs(v) for v in _ref_fds(spec.ts, f, spec.a, spec.b, True)), default=0.0)
+
+
+def _ref_clamp(v):
+    return 0.0 if -1e-12 <= v < 0.0 else v
+
+
+def _ref_int_fd2(ts, f, a, b):
+    total = 0.0
+    for t, nxt in _ref_steps(ts, a, b):
+        mu = nxt - t
+        fd = (feval(f, nxt) - feval(f, t)) / mu
+        total += mu * fd * fd
+    return total
+
+
+def _ref_t6(spec, f, g, variant):
+    w = spec.alpha + spec.beta
+    fx, gx = feval(f, spec.x), feval(g, spec.x)
+    m1, m2 = _ref_sup(spec, f), _ref_sup(spec, g)
+    iabs = _ref_moments(spec)[1]
+    lhs_a = abs(fx * gx * _ref_bracket(spec) / w
+                - (gx * _ref_mean_side(spec, f) + fx * _ref_mean_side(spec, g)) / (2.0 * w))
+    rhs_a = (m1 * abs(gx) + m2 * abs(fx)) / 2.0 * iabs
+    lhs_b = abs(w * w * _ref_lhs(spec, f) * _ref_lhs(spec, g))
+    rhs_b = w * w * iabs * iabs
+    if variant is Variant.PAPER_LITERAL:
+        rhs_a /= w
+    else:
+        rhs_b *= m1 * m2
+    return (lhs_a, rhs_a, rhs_a - lhs_a), (lhs_b, rhs_b, rhs_b - lhs_b)
+
+
+def _ref_t7(spec, f):
+    i1, _, i2 = _ref_moments(spec)
+    width = spec.b - spec.a
+    drift = (feval(f, spec.b) - feval(f, spec.a)) / width
+    lhs = abs(_ref_lhs(spec, f) - drift * i1)
+    sd_p = math.sqrt(_ref_clamp(i2 / width - (i1 / width) ** 2))
+    var_f = _ref_clamp(_ref_int_fd2(spec.ts, f, spec.a, spec.b) / width - drift * drift)
+    fds = _ref_fds(spec.ts, f, spec.a, spec.b)
+    l2 = width * sd_p * math.sqrt(var_f)
+    gruss = width * sd_p * (max(fds) - min(fds)) / 2.0
+    return (lhs, l2, l2 - lhs), (lhs, gruss, gruss - lhs)
+
+
+def _ref_gruss_variance(spec, f):
+    width = spec.b - spec.a
+    drift = (feval(f, spec.b) - feval(f, spec.a)) / width
+    fds = _ref_fds(spec.ts, f, spec.a, spec.b)
+    variance = _ref_clamp(_ref_int_fd2(spec.ts, f, spec.a, spec.b) / width - drift * drift)
+    return variance, (0.5 * (max(fds) - min(fds))) ** 2
+
+
+def _ref_korkine(spec, f):
+    kernel = _ref_kernel(spec)
+    mus = [mu for mu, _ in kernel]
+    us = [p for _, p in kernel]
+    vs = _ref_fds(spec.ts, f, spec.a, spec.b)
+    width = spec.b - spec.a
+    m_uv = sum(m * u * v for m, u, v in zip(mus, us, vs)) / width
+    m_u = sum(m * u for m, u in zip(mus, us)) / width
+    m_v = sum(m * v for m, v in zip(mus, vs)) / width
+    double = 0.0
+    for mi, ui, vi in zip(mus, us, vs):
+        for mj, uj, vj in zip(mus, us, vs):
+            double += mi * mj * (ui - uj) * (vi - vj)
+    double /= 2.0 * width * width
+    return m_uv - m_u * m_v - double
+
+
+def _ref_reduction(spec, f):
+    ts, h, a, b, x = spec.ts, spec.h, spec.a, spec.b, spec.x
+    unweighted = KernelSpec(ts=ts, a=a, b=b, x=x, alpha=x - a, beta=b - x, h=h)
+    width = b - a
+    lhs = abs(feval(f, x) * (feval(h, b) - feval(h, a)) / width
+              - _ref_sigma_mean(unweighted, f, a, b) / width)
+    bracket = 0.0
+    for t, nxt in _ref_steps(ts, a, x):
+        bracket += (nxt - t) * abs(feval(h, t) - feval(h, a))
+    for t, nxt in _ref_steps(ts, x, b):
+        bracket += (nxt - t) * abs(feval(h, b) - feval(h, t))
+    rhs = _ref_sup(spec, f) / width * bracket
+    return lhs, rhs, rhs - lhs
+
+
+def _slack_bits(rep):
+    return _bits((rep.lhs, rep.rhs, rep.slack))
+
+
+@pytest.mark.parametrize("case", sorted(DISCRETE_CASES))
+def test_step_tables_answer_bit_equal_to_per_call_enumeration(case):
+    spec, f, g = DISCRETE_CASES[case]()
+    for _ in range(2):                  # cold tables, then warm ones
+        for fn in (f, g):
+            assert _bits(montgomery_lhs(spec, fn)) == _bits(_ref_lhs(spec, fn))
+            assert _bits(montgomery_rhs(spec, fn)) == _bits(_ref_rhs(spec, fn))
+            assert _bits(korkine_residual(spec, fn)) == _bits(_ref_korkine(spec, fn))
+            assert (_bits(gruss_variance_check(spec.ts, fn, spec.a, spec.b))
+                    == _bits(_ref_gruss_variance(spec, fn)))
+            l2, gruss = _ref_t7(spec, fn)
+            assert _slack_bits(bound_t7(spec, fn, "l2")) == _bits(l2)
+            assert _slack_bits(bound_t7(spec, fn, "gruss")) == _bits(gruss)
+            if spec.a < spec.x < spec.b:
+                got = reduction_weighted_ostrowski(spec.ts, fn, spec.h, spec.a, spec.b, spec.x)
+                assert _slack_bits(got) == _bits(_ref_reduction(spec, fn))
+        for v in Variant:
+            t6a, t6b = _ref_t6(spec, f, g, v)
+            assert _slack_bits(bound_t6a(spec, f, g, v)) == _bits(t6a)
+            assert _slack_bits(bound_t6b(spec, f, g, v)) == _bits(t6b)
+    assert _bits(kernel_moments(spec)) == _bits(_ref_moments(spec))
+
+
+def test_function_keeps_one_step_table_per_scale_and_window():
+    ints = IntegerInterval(0, 6)
+    evens = FiniteGrid((0.0, 2.0, 4.0, 6.0))
+    f = Sampled({0: 0, 1: 1, 2: 3, 3: 6, 4: 10, 5: 0, 6: -20})
+    h = Polynomial((0.0, 1.0))
+    on_ints = KernelSpec(ts=ints, a=0, b=6, x=2, alpha=1.0, beta=1.0, h=h)
+    on_evens = KernelSpec(ts=evens, a=0, b=6, x=2, alpha=1.0, beta=1.0, h=h)
+    narrow = KernelSpec(ts=ints, a=1, b=4, x=2, alpha=1.0, beta=1.0, h=h)
+    for spec in (on_ints, on_evens, narrow, on_ints, on_evens, narrow):
+        assert _bits(montgomery_lhs(spec, f)) == _bits(_ref_lhs(spec, f))
+        assert _bits(montgomery_rhs(spec, f)) == _bits(_ref_rhs(spec, f))
+        assert _bits(korkine_residual(spec, f)) == _bits(_ref_korkine(spec, f))
+    assert set(f._delta_memo) == {(ints, 0.0, 6.0), (evens, 0.0, 6.0), (ints, 1.0, 4.0)}
+    assert f._delta_memo[(evens, 0.0, 6.0)][1] == [1.5, 3.5, -15.0]
+    assert f._delta_memo[(ints, 1.0, 4.0)][1] == [2.0, 3.0, 4.0]
+    assert montgomery_lhs(on_ints, f) != montgomery_lhs(on_evens, f)
