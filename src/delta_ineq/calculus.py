@@ -76,13 +76,13 @@ def poly_definite(coeffs: tuple[float, ...], lo: float, hi: float) -> float:
 # function representations
 
 
-# Each function object also carries ``_delta_memo``, filled by ostrowski: per
-# discrete window (scale, a, b) the step table (mu, f^Delta, f(sigma)) that
-# every discrete delta integral and f^Delta envelope reads, and per real
-# window (scale, a, b, open) the f' candidate list of the derivative
-# envelopes.  It is not a dataclass field, so ==, hash, repr and the JSON
-# form ignore it, dataclasses.replace starts an empty one, and it lives and
-# dies with its function.
+# Each function object also carries ``_delta_memo``: per discrete window
+# (scale, a, b) the step table (mu, f^Delta, f(sigma)) of ``_step_table``,
+# which every discrete delta integral and f^Delta envelope reads, and per
+# real window (scale, a, b, open) the f' candidate list of the derivative
+# envelopes in ostrowski.  It is not a dataclass field, so ==, hash, repr
+# and the JSON form ignore it, dataclasses.replace starts an empty one, and
+# it lives and dies with its function.
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,32 @@ def feval(f: Func, t: float) -> float:
         return f.table[t]
     except KeyError:
         raise MissingSample(f"no sample at t={t!r}") from None
+
+
+def _tabulate(ts: TimeScale, f: Func, a: float, b: float
+              ) -> tuple[list[float], list[float], list[float], list[float]]:
+    """The points t of [a, b) on a discrete scale; per step mu(t); f at each
+    point and at b, so f(sigma(t)) follows f(t); and per step f^Delta(t)."""
+    pts = ts.grid_points(a, b)
+    vals = [feval(f, t) for t in pts]
+    vals.append(feval(f, b))
+    mus = [nxt - t for t, nxt in zip(pts, pts[1:] + [b])]
+    fds = [(fnxt - ft) / mu for ft, fnxt, mu in zip(vals, vals[1:], mus)]
+    return pts, mus, vals, fds
+
+
+def _step_table(ts: TimeScale, f: Func, a: float, b: float
+                ) -> tuple[list[float], list[float], list[float]]:
+    """(mu, f^Delta, f(sigma)) per step of the discrete window [a, b), with a
+    and b canonical; f at the points of [a, b) is [f(a)] + f(sigma)[:-1].
+    Kept in f's memo under (ts, a, b) and shared by every caller: treat it
+    as read-only."""
+    key = (ts, a, b)
+    table = f._delta_memo.get(key)
+    if table is None:
+        _, mus, vals, fds = _tabulate(ts, f, a, b)
+        table = f._delta_memo[key] = (mus, fds, vals[1:])
+    return table
 
 
 def delta_derivative(ts: TimeScale, f: Func, t: float) -> float:
@@ -259,20 +285,20 @@ def parts_residual(ts: TimeScale, f: Func, g: Func, a: float, b: float) -> float
     """
     a = ts.canon(a)
     b = ts.canon(b)
-    boundary = feval(f, b) * feval(g, b) - feval(f, a) * feval(g, a)
     if isinstance(ts, RealInterval):
+        boundary = feval(f, b) * feval(g, b) - feval(f, a) * feval(g, a)
         if not (isinstance(f, Polynomial) and isinstance(g, Polynomial)):
             raise ContinuousScale("integration by parts needs polynomials on a real interval")
         left = poly_definite(poly_mul(f.coeffs, poly_derive(g.coeffs)), a, b)
         right = poly_definite(poly_mul(poly_derive(f.coeffs), g.coeffs), a, b)
         return left - (boundary - right)
-    pts = ts.grid_points(a, b)
+    mus, fds, fsig = _step_table(ts, f, a, b)
+    _, gds, gsig = _step_table(ts, g, a, b)
+    fa = feval(f, a)
+    boundary = fsig[-1] * gsig[-1] - fa * feval(g, a)
     left = 0.0
     right = 0.0
-    for t, nxt in zip(pts, pts[1:] + [b]):
-        mu = nxt - t
-        fd = (feval(f, nxt) - feval(f, t)) / mu
-        gd = (feval(g, nxt) - feval(g, t)) / mu
-        left += mu * feval(f, t) * gd
-        right += mu * fd * feval(g, nxt)
+    for mu, ft, fd, gd, gs in zip(mus, [fa] + fsig, fds, gds, gsig):
+        left += mu * ft * gd
+        right += mu * fd * gs
     return left - (boundary - right)

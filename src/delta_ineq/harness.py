@@ -17,6 +17,7 @@ from .calculus import (
     Func,
     Polynomial,
     Sampled,
+    _step_table,
     feval,
     func_from_json,
     func_to_json,
@@ -418,10 +419,11 @@ def _int_f_gdelta(spec: KernelSpec, f: Func, g: Func) -> float:
     ts = spec.ts
     if isinstance(ts, RealInterval):
         return poly_definite(poly_mul(f.coeffs, poly_derive(g.coeffs)), spec.a, spec.b)
+    _, _, fsig = _step_table(ts, f, spec.a, spec.b)
+    _, _, gsig = _step_table(ts, g, spec.a, spec.b)
     total = 0.0
-    pts = ts.grid_points(spec.a, spec.b)
-    for t, nxt in zip(pts, pts[1:] + [spec.b]):
-        total += feval(f, t) * (feval(g, nxt) - feval(g, t))
+    for ft, gt, gs in zip([feval(f, spec.a)] + fsig, [feval(g, spec.a)] + gsig, gsig):
+        total += ft * (gs - gt)
     return total
 
 

@@ -30,6 +30,8 @@ from functools import cached_property
 from .calculus import (
     Func,
     Polynomial,
+    _step_table,
+    _tabulate,
     feval,
     func_from_json,
     func_to_json,
@@ -258,31 +260,6 @@ def kernel_P(spec: KernelSpec, t: float) -> float:
     if t < spec.x:
         return c1 * (feval(h, t) - feval(h, spec.a))
     return -c2 * (feval(h, spec.b) - feval(h, t))
-
-
-def _tabulate(ts: TimeScale, f: Func, a: float, b: float
-              ) -> tuple[list[float], list[float], list[float], list[float]]:
-    """The points t of [a, b) on a discrete scale; per step mu(t); f at each
-    point and at b, so f(sigma(t)) follows f(t); and per step f^Delta(t)."""
-    pts = ts.grid_points(a, b)
-    vals = [feval(f, t) for t in pts]
-    vals.append(feval(f, b))
-    mus = [nxt - t for t, nxt in zip(pts, pts[1:] + [b])]
-    fds = [(fnxt - ft) / mu for ft, fnxt, mu in zip(vals, vals[1:], mus)]
-    return pts, mus, vals, fds
-
-
-def _step_table(ts: TimeScale, f: Func, a: float, b: float
-                ) -> tuple[list[float], list[float], list[float]]:
-    """(mu, f^Delta, f(sigma)) per step of the discrete window [a, b), with a
-    and b canonical.  Kept in f's memo under (ts, a, b) and shared by every
-    caller: treat it as read-only."""
-    key = (ts, a, b)
-    table = f._delta_memo.get(key)
-    if table is None:
-        _, mus, vals, fds = _tabulate(ts, f, a, b)
-        table = f._delta_memo[key] = (mus, fds, vals[1:])
-    return table
 
 
 def _roots_in(coeffs: tuple[float, ...], lo: float, hi: float) -> list[float]:
@@ -671,15 +648,29 @@ def _mu_and_kernel(spec: KernelSpec) -> tuple[list[float], list[float]]:
 
 
 def _korkine_defect(mus: list[float], us: list[float], vs: list[float], width: float) -> float:
-    """mean(uv) - mean(u)mean(v) minus the symmetrized double-sum route."""
-    m_uv = sum(m * u * v for m, u, v in zip(mus, us, vs)) / width
-    m_u = sum(m * u for m, u in zip(mus, us)) / width
-    m_v = sum(m * v for m, v in zip(mus, vs)) / width
+    """mean(uv) - mean(u)mean(v) minus the symmetrized double-sum route.
+
+    The double route sums each unordered pair i < j once: the float term
+    mu_i mu_j (u_i - u_j)(v_i - v_j) equals its (j, i) mirror (the product
+    commutes and negating both differences is exact) and the diagonal terms
+    are 0, so the full square is twice this triangle over the same terms.
+    The sums are plain left-to-right loops: from Python 3.12 on, sum() over
+    floats compensates, which would make the output depend on the version.
+    """
+    m_uv = m_u = m_v = 0.0
+    for m, u, v in zip(mus, us, vs):
+        m_uv += m * u * v
+        m_u += m * u
+        m_v += m * v
+    m_uv /= width
+    m_u /= width
+    m_v /= width
+    rows = list(zip(mus, us, vs))
     double = 0.0
-    for mi, ui, vi in zip(mus, us, vs):
-        for mj, uj, vj in zip(mus, us, vs):
+    for i, (mi, ui, vi) in enumerate(rows, 1):
+        for mj, uj, vj in rows[i:]:
             double += mi * mj * (ui - uj) * (vi - vj)
-    double /= 2.0 * width * width
+    double /= width * width
     return m_uv - m_u * m_v - double
 
 
@@ -688,7 +679,8 @@ def korkine_residual(spec: KernelSpec, f: Func) -> float:
 
     single-route: mean(P f^Delta) - mean(P) mean(f^Delta), means weighted
     by mu/(b-a); double-route: the symmetrized double sum
-    (1/2W^2) sum_ij mu_i mu_j (P_i - P_j)(F_i - F_j).
+    (1/2W^2) sum_ij mu_i mu_j (P_i - P_j)(F_i - F_j), evaluated as
+    (1/W^2) sum_{i<j} over every unordered pair.
     """
     mus, ps = _mu_and_kernel(spec)
     _, fds, _ = _step_table(spec.ts, f, spec.a, spec.b)
@@ -756,14 +748,21 @@ def _closed_form_z(spec: KernelSpec, f: Func) -> float:
     def fv(t: int) -> float:
         return feval(f, float(t))
 
+    def sigma_sum(lo: int, hi: int) -> float:
+        # a plain loop, not sum(): see _korkine_defect
+        total = 0.0
+        for t in range(lo, hi):
+            total += fv(t + 1) * (h(t + 1) - h(t))
+        return total
+
     bracket = 0.0
     mean = 0.0
     if spec.alpha > 0.0:
         bracket += spec.alpha * (h(x) - h(a)) / (x - a)
-        mean += spec.alpha / (x - a) * sum(fv(t + 1) * (h(t + 1) - h(t)) for t in range(a, x))
+        mean += spec.alpha / (x - a) * sigma_sum(a, x)
     if spec.beta > 0.0:
         bracket += spec.beta * (h(b) - h(x)) / (b - x)
-        mean += spec.beta / (b - x) * sum(fv(t + 1) * (h(t + 1) - h(t)) for t in range(x, b))
+        mean += spec.beta / (b - x) * sigma_sum(x, b)
     return fv(x) * bracket / w - mean / w
 
 

@@ -53,10 +53,10 @@ RUNS = {
         "182881a5f5bdd3f6dc301886498e20b05b9fbdacab6a1151545bc12e140c1c01"),
     "verify-identity": (
         ["verify-identity", "--trials", "40", "--seed", "7"], None, 0,
-        "cb71a6eeccd3088e10fdd1b18b308e27917fc46b44909ca6d9774df3edcec795"),
+        "c8def38a2cba3ea80737f10e211928a06c0bf274d71d2059791168068b2564cf"),
     "verify-identity-poly": (
         ["verify-identity", "--trials", "40", "--seed", "7"], POLY_ALL_SCALES, 0,
-        "1d016f1e92239fd66eab2944601c196a21f5d2042275aa1ec8ebba18f9a06163"),
+        "50babefd0e881c8ceccb148a0065163ebbdd2272cb49b1e8994c86520dd0e4ec"),
     "crosscheck": (
         ["crosscheck", "--trials", "20", "--seed", "5"], None, 0,
         "c29bfd39c48dfae777a06495be55fc617cc7ec1eea79b71ae6d406d76b22d9ca"),

@@ -34,12 +34,15 @@ from delta_ineq import (
     kernel_moments,
     kernel_spec_from_json,
     kernel_spec_to_json,
+    kernel_variance_residual,
     korkine_residual,
     montgomery_lhs,
     montgomery_rhs,
+    parts_residual,
     reduction_weighted_ostrowski,
     sup_abs_delta_derivative,
 )
+from delta_ineq.harness import _int_f_gdelta
 
 CUBIC = Polynomial((0.5, -1.25, 0.75, 0.3))
 QUADRATIC = Polynomial((1.0, 0.5, -2.0))
@@ -410,21 +413,62 @@ def _ref_gruss_variance(spec, f):
     return variance, (0.5 * (max(fds) - min(fds))) ** 2
 
 
-def _ref_korkine(spec, f):
+def _pair_term(mus, us, vs, i, j):
+    return mus[i] * mus[j] * (us[i] - us[j]) * (vs[i] - vs[j])
+
+
+def _ref_triangle(mus, us, vs):
+    """The Korkine double sum over the pairs i < j, row by row."""
+    total = 0.0
+    for i in range(len(mus)):
+        for j in range(i + 1, len(mus)):
+            total += _pair_term(mus, us, vs, i, j)
+    return total
+
+
+def _ref_defect(mus, us, vs, width):
+    m_uv = m_u = m_v = 0.0
+    for m, u, v in zip(mus, us, vs):
+        m_uv += m * u * v
+        m_u += m * u
+        m_v += m * v
+    double = _ref_triangle(mus, us, vs) / (width * width)
+    return m_uv / width - (m_u / width) * (m_v / width) - double
+
+
+def _ref_mu_p(spec):
     kernel = _ref_kernel(spec)
-    mus = [mu for mu, _ in kernel]
-    us = [p for _, p in kernel]
-    vs = _ref_fds(spec.ts, f, spec.a, spec.b)
-    width = spec.b - spec.a
-    m_uv = sum(m * u * v for m, u, v in zip(mus, us, vs)) / width
-    m_u = sum(m * u for m, u in zip(mus, us)) / width
-    m_v = sum(m * v for m, v in zip(mus, vs)) / width
-    double = 0.0
-    for mi, ui, vi in zip(mus, us, vs):
-        for mj, uj, vj in zip(mus, us, vs):
-            double += mi * mj * (ui - uj) * (vi - vj)
-    double /= 2.0 * width * width
-    return m_uv - m_u * m_v - double
+    return [mu for mu, _ in kernel], [p for _, p in kernel]
+
+
+def _ref_korkine(spec, f):
+    mus, ps = _ref_mu_p(spec)
+    return _ref_defect(mus, ps, _ref_fds(spec.ts, f, spec.a, spec.b), spec.b - spec.a)
+
+
+def _ref_kernel_variance(spec):
+    mus, ps = _ref_mu_p(spec)
+    return _ref_defect(mus, ps, ps, spec.b - spec.a)
+
+
+def _ref_parts(spec, f, g):
+    a, b = spec.a, spec.b
+    boundary = feval(f, b) * feval(g, b) - feval(f, a) * feval(g, a)
+    left = right = 0.0
+    for t, nxt in _ref_steps(spec.ts, a, b):
+        mu = nxt - t
+        fd = (feval(f, nxt) - feval(f, t)) / mu
+        gd = (feval(g, nxt) - feval(g, t)) / mu
+        left += mu * feval(f, t) * gd
+        right += mu * fd * feval(g, nxt)
+    return left - (boundary - right)
+
+
+def _ref_int_f_gdelta(spec, f, g):
+    total = 0.0
+    for t, nxt in _ref_steps(spec.ts, spec.a, spec.b):
+        total += feval(f, t) * (feval(g, nxt) - feval(g, t))
+    return total
 
 
 def _ref_reduction(spec, f):
@@ -454,6 +498,11 @@ def test_step_tables_answer_bit_equal_to_per_call_enumeration(case):
             assert _bits(montgomery_lhs(spec, fn)) == _bits(_ref_lhs(spec, fn))
             assert _bits(montgomery_rhs(spec, fn)) == _bits(_ref_rhs(spec, fn))
             assert _bits(korkine_residual(spec, fn)) == _bits(_ref_korkine(spec, fn))
+            for other in (spec.h, f, g):
+                assert (_bits(parts_residual(spec.ts, fn, other, spec.a, spec.b))
+                        == _bits(_ref_parts(spec, fn, other)))
+                assert (_bits(_int_f_gdelta(spec, fn, other))
+                        == _bits(_ref_int_f_gdelta(spec, fn, other)))
             assert (_bits(gruss_variance_check(spec.ts, fn, spec.a, spec.b))
                     == _bits(_ref_gruss_variance(spec, fn)))
             l2, gruss = _ref_t7(spec, fn)
@@ -466,6 +515,7 @@ def test_step_tables_answer_bit_equal_to_per_call_enumeration(case):
             t6a, t6b = _ref_t6(spec, f, g, v)
             assert _slack_bits(bound_t6a(spec, f, g, v)) == _bits(t6a)
             assert _slack_bits(bound_t6b(spec, f, g, v)) == _bits(t6b)
+        assert _bits(kernel_variance_residual(spec)) == _bits(_ref_kernel_variance(spec))
     assert _bits(kernel_moments(spec)) == _bits(_ref_moments(spec))
 
 
@@ -485,3 +535,40 @@ def test_function_keeps_one_step_table_per_scale_and_window():
     assert f._delta_memo[(evens, 0.0, 6.0)][1] == [1.5, 3.5, -15.0]
     assert f._delta_memo[(ints, 1.0, 4.0)][1] == [2.0, 3.0, 4.0]
     assert montgomery_lhs(on_ints, f) != montgomery_lhs(on_evens, f)
+
+
+# ---------------------------------------------------------------------------
+# the Korkine double route sums each unordered pair once
+
+
+def _integer_large():
+    ts = IntegerInterval(-20, 220)
+    f = Sampled({t: ((37 * i) % 101 - 50) * 0.125 for i, t in enumerate(ts.all_points())})
+    h = Sampled({t: 0.5 * i + ((13 * i) % 7) * 0.25 for i, t in enumerate(ts.all_points())})
+    spec = KernelSpec(ts=ts, a=-20, b=220, x=77, alpha=1.2, beta=0.8, h=h)
+    return spec, f, QUADRATIC
+
+
+KORKINE_CASES = {**DISCRETE_CASES, "integer-large": _integer_large}
+
+
+@pytest.mark.parametrize("case", sorted(KORKINE_CASES))
+def test_korkine_triangle_is_half_the_full_square(case):
+    spec, f, g = KORKINE_CASES[case]()
+    mus, ps = _ref_mu_p(spec)
+    n = len(mus)
+    u = 2.0 ** -53
+    for vs in (_ref_fds(spec.ts, f, spec.a, spec.b), _ref_fds(spec.ts, g, spec.a, spec.b), ps):
+        full = magnitude = 0.0
+        for i in range(n):
+            assert _pair_term(mus, ps, vs, i, i) == 0.0
+            for j in range(n):
+                term = _pair_term(mus, ps, vs, i, j)
+                # Bit-equal when nonzero; a zero term may differ from its
+                # mirror in sign only, which no sum started at 0.0 can show.
+                assert term == _pair_term(mus, ps, vs, j, i)
+                full += term
+                magnitude += abs(term)
+        assert abs(2.0 * _ref_triangle(mus, ps, vs) - full) <= n * n * u * magnitude
+    assert _bits(korkine_residual(spec, f)) == _bits(_ref_korkine(spec, f))
+    assert _bits(kernel_variance_residual(spec)) == _bits(_ref_kernel_variance(spec))
