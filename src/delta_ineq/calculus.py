@@ -160,15 +160,17 @@ def feval(f: Func, t: float) -> float:
 
 
 def _tabulate(ts: TimeScale, f: Func, a: float, b: float
-              ) -> tuple[list[float], list[float], list[float], list[float]]:
-    """The points t of [a, b) on a discrete scale; per step mu(t); f at each
-    point and at b, so f(sigma(t)) follows f(t); and per step f^Delta(t)."""
+              ) -> tuple[list[float], list[float],
+                         tuple[list[float], list[float], list[float]]]:
+    """The points t of [a, b) on a discrete scale; f at each point and at b,
+    so f(sigma(t)) follows f(t); and the step table of ``_step_table``,
+    which goes into f's memo under (ts, a, b) unless one is there already."""
     pts = ts.grid_points(a, b)
     vals = [feval(f, t) for t in pts]
     vals.append(feval(f, b))
     mus = [nxt - t for t, nxt in zip(pts, pts[1:] + [b])]
     fds = [(fnxt - ft) / mu for ft, fnxt, mu in zip(vals, vals[1:], mus)]
-    return pts, mus, vals, fds
+    return pts, vals, f._delta_memo.setdefault((ts, a, b), (mus, fds, vals[1:]))
 
 
 def _step_table(ts: TimeScale, f: Func, a: float, b: float
@@ -177,12 +179,8 @@ def _step_table(ts: TimeScale, f: Func, a: float, b: float
     and b canonical; f at the points of [a, b) is [f(a)] + f(sigma)[:-1].
     Kept in f's memo under (ts, a, b) and shared by every caller: treat it
     as read-only."""
-    key = (ts, a, b)
-    table = f._delta_memo.get(key)
-    if table is None:
-        _, mus, vals, fds = _tabulate(ts, f, a, b)
-        table = f._delta_memo[key] = (mus, fds, vals[1:])
-    return table
+    table = f._delta_memo.get((ts, a, b))
+    return table if table is not None else _tabulate(ts, f, a, b)[2]
 
 
 def delta_derivative(ts: TimeScale, f: Func, t: float) -> float:

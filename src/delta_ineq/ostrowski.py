@@ -137,9 +137,10 @@ class KernelSpec:
     @cached_property
     def _grid(self) -> tuple[list[float], list[float], list[float], int]:
         """Per step of [a, b) (discrete): mu, P(t) and h^Delta(t); and k, the
-        number of steps with t < x, so [0, k) covers [a, x) and [k, n) [x, b)."""
+        number of steps with t < x, so [0, k) covers [a, x) and [k, n) [x, b).
+        The tabulation also leaves h's step table for [a, b) in h's memo."""
         c1, c2 = _branch_coeffs(self)
-        pts, mus, hv, hds = _tabulate(self.ts, self.h, self.a, self.b)
+        pts, hv, (mus, hds, _) = _tabulate(self.ts, self.h, self.a, self.b)
         k = sum(1 for t in pts if t < self.x)
         ps = [c1 * (hv[i] - hv[0]) if i < k else -c2 * (hv[-1] - hv[i])
               for i in range(len(mus))]
@@ -647,31 +648,50 @@ def _mu_and_kernel(spec: KernelSpec) -> tuple[list[float], list[float]]:
     return mus, ps
 
 
-def _korkine_defect(mus: list[float], us: list[float], vs: list[float], width: float) -> float:
-    """mean(uv) - mean(u)mean(v) minus the symmetrized double-sum route.
+def _korkine_defects(mus: list[float], ps: list[float], fds: list[float],
+                     width: float) -> tuple[float, float]:
+    """Korkine defects of (P, f^Delta) and of (P, P) in one pass.
 
-    The double route sums each unordered pair i < j once: the float term
-    mu_i mu_j (u_i - u_j)(v_i - v_j) equals its (j, i) mirror (the product
-    commutes and negating both differences is exact) and the diagonal terms
-    are 0, so the full square is twice this triangle over the same terms.
-    The sums are plain left-to-right loops: from Python 3.12 on, sum() over
-    floats compensates, which would make the output depend on the version.
+    Each defect is mean(uv) - mean(u)mean(v), means weighted by mu/width,
+    minus the symmetrized double sum (1/2W^2) sum_ij mu_i mu_j (u_i - u_j)
+    (v_i - v_j).  The double route sums each unordered pair i < j once: the
+    float term equals its (j, i) mirror (the product commutes and negating
+    both differences is exact) and the diagonal terms are 0, so the full
+    square is twice this triangle over the same terms.  Both pairs share
+    u = P, so each pair computes w = mu_i mu_j (P_i - P_j) once and
+    multiplies it by (F_i - F_j) and by (P_i - P_j).  The sums are plain
+    left-to-right loops: from Python 3.12 on, sum() over floats
+    compensates, which would make the output depend on the version.
     """
-    m_uv = m_u = m_v = 0.0
-    for m, u, v in zip(mus, us, vs):
-        m_uv += m * u * v
-        m_u += m * u
-        m_v += m * v
-    m_uv /= width
-    m_u /= width
-    m_v /= width
-    rows = list(zip(mus, us, vs))
-    double = 0.0
-    for i, (mi, ui, vi) in enumerate(rows, 1):
-        for mj, uj, vj in rows[i:]:
-            double += mi * mj * (ui - uj) * (vi - vj)
-    double /= width * width
-    return m_uv - m_u * m_v - double
+    m_pf = m_p = m_f = m_pp = 0.0
+    for m, p, fd in zip(mus, ps, fds):
+        m_pf += m * p * fd
+        m_p += m * p
+        m_f += m * fd
+        m_pp += m * p * p
+    m_pf /= width
+    m_p /= width
+    m_f /= width
+    m_pp /= width
+    rows = list(zip(mus, ps, fds))
+    double_pf = double_pp = 0.0
+    for i, (mi, pi, fi) in enumerate(rows, 1):
+        for mj, pj, fj in rows[i:]:
+            dp = pi - pj
+            w = mi * mj * dp
+            double_pf += w * (fi - fj)
+            double_pp += w * dp
+    wsq = width * width
+    return (m_pf - m_p * m_f - double_pf / wsq,
+            m_pp - m_p * m_p - double_pp / wsq)
+
+
+def korkine_residuals(spec: KernelSpec, f: Func) -> tuple[float, float]:
+    """(korkine_residual(spec, f), kernel_variance_residual(spec)) from one
+    pass over the pairs; each ~0 always."""
+    mus, ps = _mu_and_kernel(spec)
+    _, fds, _ = _step_table(spec.ts, f, spec.a, spec.b)
+    return _korkine_defects(mus, ps, fds, spec.b - spec.a)
 
 
 def korkine_residual(spec: KernelSpec, f: Func) -> float:
@@ -680,17 +700,17 @@ def korkine_residual(spec: KernelSpec, f: Func) -> float:
     single-route: mean(P f^Delta) - mean(P) mean(f^Delta), means weighted
     by mu/(b-a); double-route: the symmetrized double sum
     (1/2W^2) sum_ij mu_i mu_j (P_i - P_j)(F_i - F_j), evaluated as
-    (1/W^2) sum_{i<j} over every unordered pair.
+    (1/W^2) sum_{i<j} over every unordered pair, in the one pass of
+    korkine_residuals.
     """
-    mus, ps = _mu_and_kernel(spec)
-    _, fds, _ = _step_table(spec.ts, f, spec.a, spec.b)
-    return _korkine_defect(mus, ps, fds, spec.b - spec.a)
+    return korkine_residuals(spec, f)[0]
 
 
 def kernel_variance_residual(spec: KernelSpec) -> float:
-    """Same two-route check for the pair (P, P): variance of the kernel."""
+    """Same two-route check for the pair (P, P): variance of the kernel.
+    The second element of korkine_residuals, without reading any f."""
     mus, ps = _mu_and_kernel(spec)
-    return _korkine_defect(mus, ps, ps, spec.b - spec.a)
+    return _korkine_defects(mus, ps, ps, spec.b - spec.a)[1]
 
 
 def gruss_variance_check(ts: TimeScale, f: Func, a: float, b: float,
@@ -749,7 +769,7 @@ def _closed_form_z(spec: KernelSpec, f: Func) -> float:
         return feval(f, float(t))
 
     def sigma_sum(lo: int, hi: int) -> float:
-        # a plain loop, not sum(): see _korkine_defect
+        # a plain loop, not sum(): see _korkine_defects
         total = 0.0
         for t in range(lo, hi):
             total += fv(t + 1) * (h(t + 1) - h(t))

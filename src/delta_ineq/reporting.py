@@ -1,15 +1,17 @@
 """Report serialization: JSON and CSV with replay-exact float printing.
 
-Every float is printed with 17 significant digits, enough for the binary64
-value to round-trip bit-exactly, so a report can be replayed against the
-engine without drift.  The CSV dialect is fixed and versioned: first line
-``# delta-ineq v1``, then the column header, then one row per evaluated
-bound.
+Every finite float is printed with 17 significant digits, enough for the
+binary64 value to round-trip bit-exactly, so a report can be replayed
+against the engine without drift; in JSON a non-finite float is Infinity,
+-Infinity or NaN, which json.loads reads back.  The CSV dialect is fixed
+and versioned: first line ``# delta-ineq v1``, then the column header, then
+one row per evaluated bound.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 CSV_VERSION_LINE = "# delta-ineq v1"
 CSV_COLUMNS = ("trial_id", "theorem", "variant", "scale_kind",
@@ -51,7 +53,8 @@ def _emit(obj, indent: int, level: int, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(fmt17(obj))
+        # non-finite floats as json.dumps writes them, which json.loads reads
+        out.append(fmt17(obj) if math.isfinite(obj) else json.dumps(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif obj is None:
@@ -61,7 +64,8 @@ def _emit(obj, indent: int, level: int, out: list[str]) -> None:
 
 
 def json_dumps(obj, indent: int = 2) -> str:
-    """Like json.dumps but with 17-significant-digit floats."""
+    """Like json.dumps but with 17-significant-digit finite floats;
+    non-finite ones are Infinity, -Infinity and NaN, as in json.dumps."""
     out: list[str] = []
     _emit(obj, indent, 0, out)
     return "".join(out)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from delta_ineq import cli
-from delta_ineq.reporting import CSV_VERSION_LINE
+from delta_ineq.reporting import CSV_VERSION_LINE, json_dumps
 
 
 def run(args):
@@ -106,6 +106,18 @@ def test_verify_bounds_builds_rows_only_for_csv(monkeypatch, tmp_path):
     assert run(["verify-bounds", "--trials", "4", "--format", "csv",
                 "--out", str(tmp_path / "b.csv")]) == 0
     assert kept == [0, 4 * 6 * 2]
+
+
+def test_json_dumps_round_trips_every_float():
+    obj = {"ratio": float("inf"), "floor": float("-inf"), "nan": float("nan"),
+           "finite": [0.1, -2.5e-300, 1e308, 7.0]}
+    text = json_dumps(obj)
+    assert '"ratio": Infinity' in text and "-Infinity" in text and "NaN" in text
+    back = json.loads(text)
+    assert back["ratio"] == float("inf") and back["floor"] == float("-inf")
+    assert back["nan"] != back["nan"]
+    assert [float(x).hex() for x in back["finite"]] == [x.hex() for x in obj["finite"]]
+    assert "0.10000000000000001" in text
 
 
 def test_csv_rejected_without_bound_rows(capsys):

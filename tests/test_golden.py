@@ -22,6 +22,8 @@ WALL_TIME = re.compile(r'"wall_time_s":\s*[^,\n}]*')
 
 POLY_ALL_SCALES = {"scales": ["grid", "integer", "qlattice", "real"],
                    "func": {"kind": "poly"}, "weight": {"kind": "poly"}}
+# the scale sizes of the identity-large bench workload
+IDENTITY_LARGE = {"size_range": [200, 256]}
 REAL_POLY = {"scales": ["real"], "func": {"kind": "poly"}, "weight": {"kind": "poly"}}
 EVAL_QLATTICE = {
     "spec": {"scale": {"kind": "qlattice", "q": 1.5, "kmin": -2, "kmax": 6},
@@ -57,6 +59,9 @@ RUNS = {
     "verify-identity-poly": (
         ["verify-identity", "--trials", "40", "--seed", "7"], POLY_ALL_SCALES, 0,
         "50babefd0e881c8ceccb148a0065163ebbdd2272cb49b1e8994c86520dd0e4ec"),
+    "verify-identity-large": (
+        ["verify-identity", "--trials", "4", "--seed", "7"], IDENTITY_LARGE, 0,
+        "ee5f1fad05262f4fdaa89bad927c3451f2cf8189d26ab3130dee460a851563bd"),
     "crosscheck": (
         ["crosscheck", "--trials", "20", "--seed", "5"], None, 0,
         "c29bfd39c48dfae777a06495be55fc617cc7ec1eea79b71ae6d406d76b22d9ca"),

@@ -73,6 +73,15 @@ def test_uniform01_range_and_determinism():
     assert xs == [b.uniform01() for _ in range(1000)]
 
 
+def test_uniform_draws_are_pinned():
+    # the draws of the next_u64 path: uniform() must keep them bit for bit
+    r = SplitMix64(12345)
+    assert [r.uniform(-2.0, 3.5).hex() for _ in range(3)] == [
+        "-0x1.449fb3185a022p+0", "-0x1.bf3c821e62246p-1", "-0x1.57af1d733b0cap+0"]
+    assert [r.uniform01().hex() for _ in range(3)] == [
+        "0x1.68b073f2e1fa0p-3", "0x1.0385cdb9301afp-1", "0x1.591f956b64cfcp-2"]
+
+
 def test_randint_and_choice_bounds():
     r = SplitMix64(7)
     vals = [r.randint(3, 5) for _ in range(200)]

@@ -36,12 +36,14 @@ from delta_ineq import (
     kernel_spec_to_json,
     kernel_variance_residual,
     korkine_residual,
+    korkine_residuals,
     montgomery_lhs,
     montgomery_rhs,
     parts_residual,
     reduction_weighted_ostrowski,
     sup_abs_delta_derivative,
 )
+from delta_ineq.calculus import _step_table
 from delta_ineq.harness import _int_f_gdelta
 
 CUBIC = Polynomial((0.5, -1.25, 0.75, 0.3))
@@ -572,3 +574,30 @@ def test_korkine_triangle_is_half_the_full_square(case):
         assert abs(2.0 * _ref_triangle(mus, ps, vs) - full) <= n * n * u * magnitude
     assert _bits(korkine_residual(spec, f)) == _bits(_ref_korkine(spec, f))
     assert _bits(kernel_variance_residual(spec)) == _bits(_ref_kernel_variance(spec))
+
+
+# ---------------------------------------------------------------------------
+# one pass over the pairs serves (P, f^Delta) and (P, P)
+
+
+@pytest.mark.parametrize("case", sorted(KORKINE_CASES))
+def test_fused_korkine_pass_matches_both_references(case):
+    spec, f, g = KORKINE_CASES[case]()
+    want_var = _bits(_ref_kernel_variance(spec))
+    for _ in range(2):                  # cold kernel and tables, then warm ones
+        for fn in (f, g, spec.h):
+            got = korkine_residuals(spec, fn)
+            assert _bits(got) == (_bits(_ref_korkine(spec, fn)), want_var)
+            assert _bits(korkine_residual(spec, fn)) == _bits(got[0])
+            assert _bits(kernel_variance_residual(spec)) == _bits(got[1])
+
+
+@pytest.mark.parametrize("case", sorted(DISCRETE_CASES))
+def test_kernel_grid_leaves_the_step_table_of_h(case):
+    spec, _, _ = _fresh(*DISCRETE_CASES[case]())
+    mus, _, hds, _ = spec._grid
+    table = _step_table(spec.ts, spec.h, spec.a, spec.b)
+    assert table[0] is mus and table[1] is hds
+    assert list(spec.h._delta_memo) == [(spec.ts, spec.a, spec.b)]
+    points = [t for t, _ in _ref_steps(spec.ts, spec.a, spec.b)]
+    assert _bits(tuple(table[2])) == _bits(tuple(feval(spec.h, t) for t in points[1:] + [spec.b]))
