@@ -77,7 +77,7 @@ def poly_definite(coeffs: tuple[float, ...], lo: float, hi: float) -> float:
 
 
 # Each function object also carries ``_delta_memo``: per discrete window
-# (scale, a, b) the step table (mu, f^Delta, f(sigma)) of ``_step_table``,
+# (scale, a, b) the step table (mu, f^Delta, f) of ``_step_table``,
 # which every discrete delta integral and f^Delta envelope reads, and per
 # real window (scale, a, b, open) the f' candidate list of the derivative
 # envelopes in ostrowski.  It is not a dataclass field, so ==, hash, repr
@@ -159,28 +159,22 @@ def feval(f: Func, t: float) -> float:
         raise MissingSample(f"no sample at t={t!r}") from None
 
 
-def _tabulate(ts: TimeScale, f: Func, a: float, b: float
-              ) -> tuple[list[float], list[float],
-                         tuple[list[float], list[float], list[float]]]:
-    """The points t of [a, b) on a discrete scale; f at each point and at b,
-    so f(sigma(t)) follows f(t); and the step table of ``_step_table``,
-    which goes into f's memo under (ts, a, b) unless one is there already."""
-    pts = ts.grid_points(a, b)
-    vals = [feval(f, t) for t in pts]
-    vals.append(feval(f, b))
-    mus = [nxt - t for t, nxt in zip(pts, pts[1:] + [b])]
-    fds = [(fnxt - ft) / mu for ft, fnxt, mu in zip(vals, vals[1:], mus)]
-    return pts, vals, f._delta_memo.setdefault((ts, a, b), (mus, fds, vals[1:]))
-
-
 def _step_table(ts: TimeScale, f: Func, a: float, b: float
                 ) -> tuple[list[float], list[float], list[float]]:
-    """(mu, f^Delta, f(sigma)) per step of the discrete window [a, b), with a
-    and b canonical; f at the points of [a, b) is [f(a)] + f(sigma)[:-1].
-    Kept in f's memo under (ts, a, b) and shared by every caller: treat it
-    as read-only."""
+    """(mu, f^Delta, f) of the discrete window [a, b), with a and b
+    canonical: mu and f^Delta per step of [a, b), and f at every point of
+    [a, b], so f(t) and f(sigma(t)) of step i are f[i] and f[i + 1].  Kept
+    in f's memo under (ts, a, b) and shared by every caller: treat it as
+    read-only."""
     table = f._delta_memo.get((ts, a, b))
-    return table if table is not None else _tabulate(ts, f, a, b)[2]
+    if table is None:
+        pts = ts.grid_points(a, b)
+        vals = [feval(f, t) for t in pts]
+        vals.append(feval(f, b))
+        mus = [nxt - t for t, nxt in zip(pts, pts[1:] + [b])]
+        fds = [(fnxt - ft) / mu for ft, fnxt, mu in zip(vals, vals[1:], mus)]
+        table = f._delta_memo[(ts, a, b)] = (mus, fds, vals)
+    return table
 
 
 def delta_derivative(ts: TimeScale, f: Func, t: float) -> float:
@@ -259,20 +253,24 @@ def h_monomial(ts: TimeScale, k: int, t: float, s: float) -> float:
     return values[pts.index(t)]
 
 
+def _product_delta(ts: TimeScale, f: Func, g: Func, t: float) -> float:
+    """(fg)^Delta(t): the forward difference of f g at a right-scattered t,
+    else the classical derivative of the product polynomial."""
+    t = ts.canon(t)
+    st = ts.sigma(t)
+    if st > t:
+        return (feval(f, st) * feval(g, st) - feval(f, t) * feval(g, t)) / (st - t)
+    return poly_eval(poly_derive(poly_mul(f.coeffs, g.coeffs)), t)
+
+
 def product_rule_residual(ts: TimeScale, f: Func, g: Func, t: float) -> float:
     """(fg)^Delta(t) minus f^Delta(t) g(t) + f(sigma(t)) g^Delta(t); ~0 always."""
     t = ts.canon(t)
-    st = ts.sigma(t)
-    mu = st - t
+    # the derivative calls reject a dense t unless f and g are polynomials
     fd = delta_derivative(ts, f, t)
     gd = delta_derivative(ts, g, t)
-    if mu > 0.0:
-        lhs = (feval(f, st) * feval(g, st) - feval(f, t) * feval(g, t)) / mu
-    else:
-        # both derivative calls above succeeded, so f and g are polynomials
-        lhs = poly_eval(poly_derive(poly_mul(f.coeffs, g.coeffs)), t)
-    rhs = fd * feval(g, t) + feval(f, st) * gd
-    return lhs - rhs
+    rhs = fd * feval(g, t) + feval(f, ts.sigma(t)) * gd
+    return _product_delta(ts, f, g, t) - rhs
 
 
 def parts_residual(ts: TimeScale, f: Func, g: Func, a: float, b: float) -> float:
@@ -290,13 +288,12 @@ def parts_residual(ts: TimeScale, f: Func, g: Func, a: float, b: float) -> float
         left = poly_definite(poly_mul(f.coeffs, poly_derive(g.coeffs)), a, b)
         right = poly_definite(poly_mul(poly_derive(f.coeffs), g.coeffs), a, b)
         return left - (boundary - right)
-    mus, fds, fsig = _step_table(ts, f, a, b)
-    _, gds, gsig = _step_table(ts, g, a, b)
-    fa = feval(f, a)
-    boundary = fsig[-1] * gsig[-1] - fa * feval(g, a)
+    mus, fds, fv = _step_table(ts, f, a, b)
+    _, gds, gv = _step_table(ts, g, a, b)
+    boundary = fv[-1] * gv[-1] - fv[0] * gv[0]
     left = 0.0
     right = 0.0
-    for mu, ft, fd, gd, gs in zip(mus, [fa] + fsig, fds, gds, gsig):
+    for mu, ft, fd, gd, gs in zip(mus, fv, fds, gds, gv[1:]):
         left += mu * ft * gd
         right += mu * fd * gs
     return left - (boundary - right)

@@ -127,6 +127,8 @@ def _spec_with_scale_override(ns: argparse.Namespace, spec: KernelSpec) -> Kerne
 
 
 def _trial_config(ns: argparse.Namespace, file_obj: dict) -> TrialConfig:
+    """The config of file_obj with the --seed, --trials, --tol and --variant
+    overrides; --scale is the caller's to apply."""
     config = config_from_json(file_obj)
     updates: dict = {}
     if ns.seed is not None:
@@ -137,8 +139,6 @@ def _trial_config(ns: argparse.Namespace, file_obj: dict) -> TrialConfig:
         updates["tolerance"] = ns.tol
     if getattr(ns, "variant", None) is not None:
         updates["variants"] = _variants_for(ns.variant)
-    if ns.scale is not None:
-        updates["fixed_scale"] = _scale_override(ns)
     return dataclasses.replace(config, **updates) if updates else config
 
 
@@ -154,6 +154,8 @@ def _write(text: str, out_path: str | None) -> None:
 
 def _run_suite(ns: argparse.Namespace, runner, has_rows: bool = False) -> int:
     config = _trial_config(ns, _load_config_file(ns.config))
+    if ns.scale is not None:
+        config = dataclasses.replace(config, fixed_scale=_scale_override(ns))
     if ns.format == "csv":
         if not has_rows:
             raise ConfigError("--format csv needs bound rows; "
@@ -175,17 +177,10 @@ def _run_sharpness(ns: argparse.Namespace) -> int:
     theorem = ns.theorem if ns.theorem is not None else file_obj.get("theorem", "T5")
     spec = _spec_with_scale_override(
         ns, kernel_spec_from_json(file_obj.get("spec", DEFAULT_SHARPNESS_SPEC)))
-    config = config_from_json(file_obj.get("config", {}))
-    updates: dict = {}
-    if "config" not in file_obj or "trials" not in file_obj.get("config", {}):
-        updates["n_trials"] = 5000
-    if ns.seed is not None:
-        updates["seed"] = ns.seed
-    if ns.trials is not None:
-        updates["n_trials"] = ns.trials
-    if ns.tol is not None:
-        updates["tolerance"] = ns.tol
-    config = dataclasses.replace(config, **updates)
+    config_obj = file_obj.get("config", {})
+    if isinstance(config_obj, dict) and "trials" not in config_obj:
+        config_obj = config_obj | {"trials": 5000}      # the default evaluation budget
+    config = _trial_config(ns, config_obj)
     if ns.format == "csv":
         raise ConfigError("--format csv needs bound rows; "
                           "use it with verify-bounds or eval")
@@ -218,7 +213,7 @@ def _run_eval(ns: argparse.Namespace) -> int:
     rhs = montgomery_rhs(spec, f)
     mom = kernel_moments(spec)
     _, reports = evaluate_bounds(spec, f, g, _variants_for(ns.variant), gamma, big_gamma)
-    rows = [bound_row(0, rep, tol) for rep in reports]
+    rows = [bound_row(0, rep, spec, tol) for rep in reports]
     failing = [row for row in rows if not row["pass"]]
     findings = [row for row in failing if row["variant"] == Variant.PAPER_LITERAL.value]
     failures = [row for row in failing if row["variant"] == Variant.CORRECTED.value]

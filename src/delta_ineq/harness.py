@@ -17,14 +17,13 @@ from .calculus import (
     Func,
     Polynomial,
     Sampled,
+    _product_delta,
     _step_table,
-    feval,
     func_from_json,
     func_to_json,
     parts_residual,
     poly_definite,
     poly_derive,
-    poly_eval,
     poly_mul,
     product_rule_residual,
 )
@@ -423,17 +422,17 @@ def _int_f_gdelta(spec: KernelSpec, f: Func, g: Func) -> float:
     ts = spec.ts
     if isinstance(ts, RealInterval):
         return poly_definite(poly_mul(f.coeffs, poly_derive(g.coeffs)), spec.a, spec.b)
-    _, _, fsig = _step_table(ts, f, spec.a, spec.b)
-    _, _, gsig = _step_table(ts, g, spec.a, spec.b)
+    fv = _step_table(ts, f, spec.a, spec.b)[2]
+    gv = _step_table(ts, g, spec.a, spec.b)[2]
     total = 0.0
-    for ft, gt, gs in zip([feval(f, spec.a)] + fsig, [feval(g, spec.a)] + gsig, gsig):
+    for ft, gt, gs in zip(fv, gv, gv[1:]):
         total += ft * (gs - gt)
     return total
 
 
 def _identity_witness(seed: int, trial: int, check: str, spec: KernelSpec,
-                      funcs: dict, residual: float, denom: float, **extra) -> dict:
-    w = {
+                      f: Func, residual: float, denom: float, **extra) -> dict:
+    return {
         "kind": "identity",
         "seed": seed,
         "trial": trial,
@@ -441,10 +440,9 @@ def _identity_witness(seed: int, trial: int, check: str, spec: KernelSpec,
         "spec": kernel_spec_to_json(spec),
         "residual": residual,
         "denom": denom,
+        "f": func_to_json(f),
+        **extra,
     }
-    w.update({k: func_to_json(v) for k, v in funcs.items()})
-    w.update(extra)
-    return w
 
 
 def run_identity_suite(config: TrialConfig) -> SuiteReport:
@@ -459,6 +457,12 @@ def run_identity_suite(config: TrialConfig) -> SuiteReport:
     aggs = {name: _IdentityAgg() for name in labels}
     failures: list[dict] = []
 
+    def check(label: str, residual: float, denom: float, **extra) -> None:
+        """Record one check of the current trial i on (spec, f)."""
+        if not aggs[label].add(residual, denom, tol):
+            failures.append(_identity_witness(config.seed, i, label, spec, f,
+                                              residual, denom, **extra))
+
     for i in range(config.n_trials):
         rng = trial_rng(config.seed, i)
         spec, f, _ = _draw_trial(rng, config, with_g=False)
@@ -467,55 +471,30 @@ def run_identity_suite(config: TrialConfig) -> SuiteReport:
 
         lhs = montgomery_lhs(spec, f)
         rhs = montgomery_rhs(spec, f)
-        denom = max(1.0, abs(lhs))
-        if not aggs["montgomery-identity"].add(lhs - rhs, denom, tol):
-            failures.append(_identity_witness(config.seed, i, "montgomery-identity",
-                                              spec, {"f": f}, lhs - rhs, denom))
-
-        r = parts_residual(ts, f, spec.h, spec.a, spec.b)
-        denom = max(1.0, abs(_int_f_gdelta(spec, f, spec.h)))
-        if not aggs["integration-by-parts"].add(r, denom, tol):
-            failures.append(_identity_witness(config.seed, i, "integration-by-parts",
-                                              spec, {"f": f}, r, denom))
+        check("montgomery-identity", lhs - rhs, max(1.0, abs(lhs)))
+        check("integration-by-parts", parts_residual(ts, f, spec.h, spec.a, spec.b),
+              max(1.0, abs(_int_f_gdelta(spec, f, spec.h))))
 
         if discrete:
             t_probe = rng.choice(ts.grid_points(spec.a, spec.b))
         else:
             t_probe = spec.a + rng.uniform(0.1, 0.9) * (spec.b - spec.a)
-        r = product_rule_residual(ts, f, spec.h, t_probe)
-        denom = max(1.0, abs(_product_delta(ts, f, spec.h, t_probe)))
-        if not aggs["product-rule"].add(r, denom, tol):
-            failures.append(_identity_witness(config.seed, i, "product-rule",
-                                              spec, {"f": f}, r, denom, t=t_probe))
+        check("product-rule", product_rule_residual(ts, f, spec.h, t_probe),
+              max(1.0, abs(_product_delta(ts, f, spec.h, t_probe))), t=t_probe)
 
         if discrete:
-            mom = kernel_moments(spec)
             width = spec.b - spec.a
             r, r_var = korkine_residuals(spec, f)
-            denom = max(1.0, abs(lhs) / width)
-            if not aggs["korkine"].add(r, denom, tol):
-                failures.append(_identity_witness(config.seed, i, "korkine",
-                                                  spec, {"f": f}, r, denom))
-            denom = max(1.0, mom.int_p2 / width)
-            if not aggs["kernel-variance"].add(r_var, denom, tol):
-                failures.append(_identity_witness(config.seed, i, "kernel-variance",
-                                                  spec, {"f": f}, r_var, denom))
+            check("korkine", r, max(1.0, abs(lhs) / width))
+            check("kernel-variance", r_var, max(1.0, kernel_moments(spec).int_p2 / width))
 
         variance, bound = gruss_variance_check(ts, f, spec.a, spec.b)
-        r = max(0.0, variance - bound)
-        denom = max(1.0, bound)
-        if not aggs["variance-envelope"].add(r, denom, tol):
-            failures.append(_identity_witness(config.seed, i, "variance-envelope",
-                                              spec, {"f": f}, r, denom))
+        check("variance-envelope", max(0.0, variance - bound), max(1.0, bound))
 
         family = _family_of(ts, f, spec.h)
         if family is not None:
             closed = closed_form_rhs(spec, f, family)
-            denom = max(1.0, abs(closed))
-            if not aggs["crosscheck"].add(rhs - closed, denom, tol):
-                failures.append(_identity_witness(config.seed, i, "crosscheck",
-                                                  spec, {"f": f}, rhs - closed, denom,
-                                                  family=family))
+            check("crosscheck", rhs - closed, max(1.0, abs(closed)), family=family)
 
     return SuiteReport(
         suite="identity",
@@ -540,24 +519,14 @@ def _family_of(ts: TimeScale, f: Func, h: Func) -> str | None:
     return None
 
 
-def _product_delta(ts: TimeScale, f: Func, g: Func, t: float) -> float:
-    """(fg)^Delta at t, for residual scaling."""
-    t = ts.canon(t)
-    st = ts.sigma(t)
-    if st > t:
-        return (feval(f, st) * feval(g, st) - feval(f, t) * feval(g, t)) / (st - t)
-    return poly_eval(poly_derive(poly_mul(f.coeffs, g.coeffs)), t)
-
-
-def bound_row(trial: int, rep: BoundReport, tol: float) -> dict:
-    """One bound evaluation as a CSV row (see reporting.CSV_COLUMNS)."""
-    s = rep.summary
+def bound_row(trial: int, rep: BoundReport, spec: KernelSpec, tol: float) -> dict:
+    """One bound evaluation of spec as a CSV row (see reporting.CSV_COLUMNS)."""
     return {
         "trial_id": trial,
         "theorem": rep.theorem,
         "variant": rep.variant.value,
-        "scale_kind": s.scale_kind,
-        "a": s.a, "b": s.b, "x": s.x, "alpha": s.alpha, "beta": s.beta,
+        "scale_kind": spec.ts.kind,
+        "a": spec.a, "b": spec.b, "x": spec.x, "alpha": spec.alpha, "beta": spec.beta,
         "lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack,
         "pass": rep.passes(tol),
     }
@@ -619,7 +588,7 @@ def run_bound_suite(config: TrialConfig, keep_rows: bool = False) -> SuiteReport
             agg = aggs.setdefault(key, _BoundAgg())
             ok = agg.add(rep, tol)
             if keep_rows:
-                rows.append(bound_row(i, rep, tol))
+                rows.append(bound_row(i, rep, spec, tol))
             if not ok:
                 witness = _bound_witness(config.seed, i, rep, spec, f,
                                          g if _needs_g(rep.theorem) else None,
@@ -716,18 +685,7 @@ class SharpnessResult:
     trace: tuple[float, ...]
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "best_ratio": self.best_ratio,
-            "max_ratio_seen": self.max_ratio_seen,
-            "iterations": self.iterations,
-            "final_step": self.final_step,
-            "violation": self.violation,
-            "witness_f": self.witness_f,
-            "witness_g": self.witness_g,
-            "spec": self.spec,
-            "trace": list(self.trace),
-        }
+        return dataclasses.asdict(self)
 
 
 def _needs_g(theorem: str) -> bool:

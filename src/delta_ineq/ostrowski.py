@@ -31,7 +31,6 @@ from .calculus import (
     Func,
     Polynomial,
     _step_table,
-    _tabulate,
     feval,
     func_from_json,
     func_to_json,
@@ -138,10 +137,12 @@ class KernelSpec:
     def _grid(self) -> tuple[list[float], list[float], list[float], int]:
         """Per step of [a, b) (discrete): mu, P(t) and h^Delta(t); and k, the
         number of steps with t < x, so [0, k) covers [a, x) and [k, n) [x, b).
-        The tabulation also leaves h's step table for [a, b) in h's memo."""
+        Read from h's step table for [a, b); k is counted by sigma steps."""
         c1, c2 = _branch_coeffs(self)
-        pts, hv, (mus, hds, _) = _tabulate(self.ts, self.h, self.a, self.b)
-        k = sum(1 for t in pts if t < self.x)
+        mus, hds, hv = _step_table(self.ts, self.h, self.a, self.b)
+        k, t = 0, self.a
+        while t < self.x:
+            k, t = k + 1, self.ts.sigma(t)
         ps = [c1 * (hv[i] - hv[0]) if i < k else -c2 * (hv[-1] - hv[i])
               for i in range(len(mus))]
         return mus, ps, hds, k
@@ -179,18 +180,6 @@ class KernelSpec:
 
 
 @dataclass(frozen=True)
-class SpecSummary:
-    """Compact echo of the kernel parameters for reports."""
-
-    scale_kind: str
-    a: float
-    b: float
-    x: float
-    alpha: float
-    beta: float
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """One evaluated inequality: lhs <= rhs expected, slack = rhs - lhs."""
 
@@ -199,18 +188,10 @@ class BoundReport:
     lhs: float
     rhs: float
     slack: float
-    summary: SpecSummary
 
     def passes(self, tol: float) -> bool:
         """Relative slack test: slack >= -tol * max(1, rhs)."""
         return self.slack >= -tol * max(1.0, self.rhs)
-
-
-def summarize(spec: KernelSpec) -> SpecSummary:
-    return SpecSummary(
-        scale_kind=spec.ts.kind,
-        a=spec.a, b=spec.b, x=spec.x, alpha=spec.alpha, beta=spec.beta,
-    )
 
 
 def kernel_spec_to_json(spec: KernelSpec) -> dict:
@@ -354,11 +335,11 @@ def _sigma_mean_integral(spec: KernelSpec, f: Func, lo: float, hi: float) -> flo
             raise ContinuousScale("sigma-mean on a real interval needs polynomials")
         return poly_definite(poly_mul(poly_derive(spec.h.coeffs), f.coeffs), lo, hi)
     mus, _, hds, k = spec._grid
-    _, _, fsig = _step_table(spec.ts, f, spec.a, spec.b)
+    fv = _step_table(spec.ts, f, spec.a, spec.b)[2]
     i = 0 if lo == spec.a else k
     j = k if hi == spec.x else len(mus)
     total = 0.0
-    for mu, hd, fs in zip(mus[i:j], hds[i:j], fsig[i:j]):
+    for mu, hd, fs in zip(mus[i:j], hds[i:j], fv[i + 1:j + 1]):
         total += mu * hd * fs
     return total
 
@@ -472,7 +453,7 @@ def bound_t5(spec: KernelSpec, f: Func, variant: Variant = Variant.CORRECTED) ->
     rhs = m * kernel_moments(spec).int_abs_p
     if variant is Variant.PAPER_LITERAL:
         rhs /= spec.alpha + spec.beta
-    return BoundReport("T5", variant, lhs, rhs, rhs - lhs, summarize(spec))
+    return BoundReport("T5", variant, lhs, rhs, rhs - lhs)
 
 
 def bound_t6a(spec: KernelSpec, f: Func, g: Func,
@@ -495,7 +476,7 @@ def bound_t6a(spec: KernelSpec, f: Func, g: Func,
     rhs = (m1 * abs(gx) + m2 * abs(fx)) / 2.0 * kernel_moments(spec).int_abs_p
     if variant is Variant.PAPER_LITERAL:
         rhs /= w
-    return BoundReport("T6a", variant, lhs, rhs, rhs - lhs, summarize(spec))
+    return BoundReport("T6a", variant, lhs, rhs, rhs - lhs)
 
 
 def bound_t6b(spec: KernelSpec, f: Func, g: Func,
@@ -535,20 +516,23 @@ def bound_t6b(spec: KernelSpec, f: Func, g: Func,
         m1 = sup_abs_delta_derivative(spec.ts, f, spec.a, spec.b)
         m2 = sup_abs_delta_derivative(spec.ts, g, spec.a, spec.b)
         rhs *= m1 * m2
-    return BoundReport("T6b", variant, lhs, rhs, rhs - lhs, summarize(spec))
+    return BoundReport("T6b", variant, lhs, rhs, rhs - lhs)
 
 
-def _int_fd_squared(ts: TimeScale, f: Func, a: float, b: float) -> float:
+def _fd_variance(ts: TimeScale, f: Func, a: float, b: float, drift: float) -> float:
+    """Variance of f^Delta over [a, b): the mean of (f^Delta)**2 less
+    drift**2, where drift = (f(b) - f(a))/(b - a) is the mean of f^Delta."""
     if isinstance(ts, RealInterval):
         if not isinstance(f, Polynomial):
             raise ContinuousScale("needs a polynomial f on a real interval")
         fd = poly_derive(f.coeffs)
-        return poly_definite(poly_mul(fd, fd), a, b)
-    mus, fds, _ = _step_table(ts, f, a, b)
-    total = 0.0
-    for mu, fd in zip(mus, fds):
-        total += mu * fd * fd
-    return total
+        total = poly_definite(poly_mul(fd, fd), a, b)
+    else:
+        mus, fds, _ = _step_table(ts, f, a, b)
+        total = 0.0
+        for mu, fd in zip(mus, fds):
+            total += mu * fd * fd
+    return _clamped_variance(total / (b - a) - drift * drift)
 
 
 def bound_t7(spec: KernelSpec, f: Func, mode: str = "l2",
@@ -570,15 +554,14 @@ def bound_t7(spec: KernelSpec, f: Func, mode: str = "l2",
     lhs = abs(montgomery_lhs(spec, f) - drift * mom.int_p)
     var_p = _clamped_variance(mom.int_p2 / width - (mom.int_p / width) ** 2)
     if mode == "l2":
-        var_f = _clamped_variance(
-            _int_fd_squared(spec.ts, f, spec.a, spec.b) / width - drift * drift)
+        var_f = _fd_variance(spec.ts, f, spec.a, spec.b, drift)
         rhs = width * math.sqrt(var_p) * math.sqrt(var_f)
         name = "T7-L2"
     else:
         gamma, big_gamma = _check_bracket(spec.ts, f, spec.a, spec.b, gamma, big_gamma)
         rhs = width * math.sqrt(var_p) * (big_gamma - gamma) / 2.0
         name = "T7-Gruss"
-    return BoundReport(name, Variant.CORRECTED, lhs, rhs, rhs - lhs, summarize(spec))
+    return BoundReport(name, Variant.CORRECTED, lhs, rhs, rhs - lhs)
 
 
 def bound_t8(spec: KernelSpec, f: Func, gamma: float | None = None,
@@ -594,7 +577,7 @@ def bound_t8(spec: KernelSpec, f: Func, gamma: float | None = None,
     mid = 0.5 * (gamma + big_gamma)
     lhs = abs(montgomery_lhs(spec, f) - mid * mom.int_p)
     rhs = 0.5 * (big_gamma - gamma) * mom.int_abs_p
-    return BoundReport("T8", Variant.CORRECTED, lhs, rhs, rhs - lhs, summarize(spec))
+    return BoundReport("T8", Variant.CORRECTED, lhs, rhs, rhs - lhs)
 
 
 # Evaluator per theorem id, called as (spec, f, g, variant, gamma, big_gamma).
@@ -632,7 +615,7 @@ def evaluate_bounds(spec: KernelSpec, f: Func, g: Func, variants: tuple[Variant,
             if rep is None:
                 rep = BOUNDS[name](spec, f, g, variant, gamma, big_gamma)
             else:
-                rep = BoundReport(rep.theorem, variant, rep.lhs, rep.rhs, rep.slack, rep.summary)
+                rep = BoundReport(rep.theorem, variant, rep.lhs, rep.rhs, rep.slack)
             reports.append(rep)
     return once, reports
 
@@ -726,9 +709,8 @@ def gruss_variance_check(ts: TimeScale, f: Func, a: float, b: float,
     if not a < b:
         raise EmptyRange(f"empty range [{a}, {b})")
     gamma, big_gamma = _check_bracket(ts, f, a, b, gamma, big_gamma)
-    width = b - a
-    drift = (feval(f, b) - feval(f, a)) / width
-    variance = _clamped_variance(_int_fd_squared(ts, f, a, b) / width - drift * drift)
+    drift = (feval(f, b) - feval(f, a)) / (b - a)
+    variance = _fd_variance(ts, f, a, b, drift)
     bound = (0.5 * (big_gamma - gamma)) ** 2
     if variance > bound + CONSISTENCY_RTOL * max(1.0, bound):
         raise ConsistencyError(f"variance {variance} exceeds range bound {bound}")
@@ -861,7 +843,7 @@ def reduction_weighted_ostrowski(ts: TimeScale, f: Func, h: Func,
         bracket = _abs_definite(left, a, x) + _abs_definite(right, x, b)
     else:
         mus, _, _, k = spec._grid
-        hv = [feval(h, a)] + _step_table(ts, h, a, b)[2]    # h at every point of [a, b]
+        hv = _step_table(ts, h, a, b)[2]
         bracket = 0.0
         for i in range(k):
             bracket += mus[i] * abs(hv[i] - hv[0])
@@ -877,4 +859,4 @@ def reduction_weighted_ostrowski(ts: TimeScale, f: Func, h: Func,
         if abs(bracket - via_h2) > CONSISTENCY_RTOL * max(1.0, abs(bracket)):
             raise ConsistencyError(
                 f"identity-weight bracket {bracket} disagrees with monomials {via_h2}")
-    return BoundReport("T5", Variant.CORRECTED, lhs, rhs, rhs - lhs, summarize(spec))
+    return BoundReport("T5", Variant.CORRECTED, lhs, rhs, rhs - lhs)

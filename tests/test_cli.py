@@ -182,6 +182,21 @@ def test_sharpness_rejects_unknown_file_keys(tmp_path):
     assert run(["sharpness", "--config", str(cfgf)]) == 1
 
 
+def test_sharpness_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    cfgf = tmp_path / "sh.json"
+    cfgf.write_text(json.dumps({"config": []}))
+    assert run(["sharpness", "--config", str(cfgf)]) == 1
+    assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
+
+def test_sharpness_scale_override_acts_on_the_spec_only(capsys):
+    # a real interval reaches the search, which rejects it, rather than the
+    # trial config, which would ask for polynomial families
+    scale = '{"kind": "real", "lo": 0, "hi": 9}'
+    assert run(["sharpness", "--trials", "5", "--scale", scale]) == 1
+    assert capsys.readouterr().err == "error: sharpness search runs on discrete scales only\n"
+
+
 # --------------------------------------------------------------------- eval
 
 def test_eval_worked_example(tmp_path):

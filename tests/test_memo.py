@@ -599,5 +599,5 @@ def test_kernel_grid_leaves_the_step_table_of_h(case):
     table = _step_table(spec.ts, spec.h, spec.a, spec.b)
     assert table[0] is mus and table[1] is hds
     assert list(spec.h._delta_memo) == [(spec.ts, spec.a, spec.b)]
-    points = [t for t, _ in _ref_steps(spec.ts, spec.a, spec.b)]
-    assert _bits(tuple(table[2])) == _bits(tuple(feval(spec.h, t) for t in points[1:] + [spec.b]))
+    points = [t for t, _ in _ref_steps(spec.ts, spec.a, spec.b)] + [spec.b]
+    assert _bits(tuple(table[2])) == _bits(tuple(feval(spec.h, t) for t in points))
