@@ -110,14 +110,15 @@ def test_verify_bounds_builds_rows_only_for_csv(monkeypatch, tmp_path):
 
 def test_json_dumps_round_trips_every_float():
     obj = {"ratio": float("inf"), "floor": float("-inf"), "nan": float("nan"),
-           "finite": [0.1, -2.5e-300, 1e308, 7.0]}
+           "finite": [0.1, -2.5e-300, 1e308, 7.0, -0.0]}
     text = json_dumps(obj)
     assert '"ratio": Infinity' in text and "-Infinity" in text and "NaN" in text
     back = json.loads(text)
     assert back["ratio"] == float("inf") and back["floor"] == float("-inf")
     assert back["nan"] != back["nan"]
-    assert [float(x).hex() for x in back["finite"]] == [x.hex() for x in obj["finite"]]
-    assert "0.10000000000000001" in text
+    assert all(type(x) is float for x in back["finite"])
+    assert [x.hex() for x in back["finite"]] == [x.hex() for x in obj["finite"]]
+    assert "0.1," in text and "7.0," in text and "-0.0\n" in text
 
 
 def test_csv_rejected_without_bound_rows(capsys):

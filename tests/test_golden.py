@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from delta_ineq import cli
+from delta_ineq.reporting import json_dumps
 
 WALL_TIME = re.compile(r'"wall_time_s":\s*[^,\n}]*')
 
@@ -45,32 +46,32 @@ SHARPNESS_T6B = {
 RUNS = {
     "verify-bounds": (
         ["verify-bounds", "--variant", "both", "--trials", "60", "--seed", "5"], None, 0,
-        "36df6e8e7ca52578deca81e46cc615985f53b6d4dd70496adcd53d2843c0aadc"),
+        "9ee1626f24879d5fb6bfaccc5e5ec946caf6d33314b6113385b0b86d9b41a35e"),
     "verify-bounds-csv": (
         ["verify-bounds", "--variant", "both", "--trials", "60", "--seed", "5",
          "--format", "csv"], None, 0,
         "13a4cf443aeccfd2036ca7589b5857540c3a41c55613adda24f0c76f482d3e02"),
     "verify-bounds-real": (
         ["verify-bounds", "--variant", "both", "--trials", "40", "--seed", "3"], REAL_POLY, 2,
-        "182881a5f5bdd3f6dc301886498e20b05b9fbdacab6a1151545bc12e140c1c01"),
+        "67f7112f52fcee698162316c17da02abf43714a7ac0fe0cc41510fa3feaaa66e"),
     "verify-identity": (
         ["verify-identity", "--trials", "40", "--seed", "7"], None, 0,
-        "c8def38a2cba3ea80737f10e211928a06c0bf274d71d2059791168068b2564cf"),
+        "ef2b81046c9cdda206a96a60159dd99999d45949da9233b606749104ea4d75fd"),
     "verify-identity-poly": (
         ["verify-identity", "--trials", "40", "--seed", "7"], POLY_ALL_SCALES, 0,
-        "50babefd0e881c8ceccb148a0065163ebbdd2272cb49b1e8994c86520dd0e4ec"),
+        "8f0b8573b4acff82a1be828b6989a1904ac8b8df4c4b89930bdb2258ac88a219"),
     "verify-identity-large": (
         ["verify-identity", "--trials", "4", "--seed", "7"], IDENTITY_LARGE, 0,
-        "ee5f1fad05262f4fdaa89bad927c3451f2cf8189d26ab3130dee460a851563bd"),
+        "4b42c8289738470ed89901e517bb89a792766e2a0e37cad24cda8d8f05604f4d"),
     "crosscheck": (
         ["crosscheck", "--trials", "20", "--seed", "5"], None, 0,
-        "c29bfd39c48dfae777a06495be55fc617cc7ec1eea79b71ae6d406d76b22d9ca"),
+        "12d8a81754614ae4ffdc6279ed64166454ab51766225e0b4e2ad09a8fd870f7b"),
     "sharpness-t6b": (
         ["sharpness", "--seed", "2"], SHARPNESS_T6B, 0,
-        "a51d7a8c30e9c0130aebb4a87df20baec2072386ed571b7cdd044e83f57974ac"),
+        "789e097fc32ccc33ded06a07ea8c8f4bf332c96022c7ea9f9d8c52d1ac686589"),
     "eval": (
         ["eval", "--variant", "both"], EVAL_QLATTICE, 0,
-        "9027647c43394df98f30a5428c0c96a396d89d3582cb4f17fbe528dc8fc69ca1"),
+        "1ccfa7344b71779286e8586efb148e73da8f9f40044594adaa87fd931f61f5e3"),
     "eval-csv": (
         ["eval", "--variant", "both", "--format", "csv"], EVAL_QLATTICE, 0,
         "b15299820eaef7f64b1a236e6c194a9a79a99e4b82511b28fd0063d941bf437d"),
@@ -96,6 +97,20 @@ def test_report_digest_is_unchanged(name, tmp_path):
     code, digest = _run(name, tmp_path)
     assert code == RUNS[name][2]
     assert digest == RUNS[name][3]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in RUNS if "csv" not in RUNS[n][0]))
+def test_json_report_is_what_the_stdlib_writes(name, tmp_path, monkeypatch):
+    reports = []
+
+    def keep(obj):
+        reports.append(obj)
+        return json_dumps(obj)
+
+    monkeypatch.setattr(cli, "json_dumps", keep)
+    _run(name, tmp_path)
+    assert len(reports) == 1
+    assert json_dumps(reports[0]) == json.dumps(reports[0], indent=2)
 
 
 if __name__ == "__main__":
