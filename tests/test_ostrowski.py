@@ -6,6 +6,7 @@ with plain loops, independent of the package's own integrators.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -304,10 +305,29 @@ POW2 = st.sampled_from([0.25, 0.5, 2.0, 4.0, 8.0])
 @settings(max_examples=60, deadline=None)
 def test_kernel_weight_scaling_exact_for_pow2(arg, c):
     spec, _ = arg
+    # power-of-two scaling is exact only while no scaled weight is subnormal
+    assume(all(w == 0.0 or w >= sys.float_info.min
+               for w in (c * spec.alpha, c * spec.beta)))
     scaled = KernelSpec(ts=spec.ts, a=spec.a, b=spec.b, x=spec.x,
                         alpha=c * spec.alpha, beta=c * spec.beta, h=spec.h)
     for t in spec.ts.grid_points(spec.a, spec.b):
         assert kernel_P(scaled, t) == kernel_P(spec, t)
+
+
+def test_kernel_weight_scaling_to_a_subnormal_weight_loses_its_bits():
+    # an example hypothesis found: c * beta falls below the normal range and
+    # keeps fewer than 53 significant bits, so the scaled kernel drifts
+    pts = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
+    h = Sampled({t: 1.0 if t == 4.0 else 0.0 for t in pts})
+    beta, c = 2.225073858507203e-309, 0.25
+    spec = KernelSpec(ts=FiniteGrid(pts), a=0.0, b=4.0, x=0.5, alpha=1.0, beta=beta, h=h)
+    scaled = KernelSpec(ts=FiniteGrid(pts), a=0.0, b=4.0, x=0.5,
+                        alpha=c, beta=c * beta, h=h)
+    assert 0.0 < c * beta < sys.float_info.min and c * beta / c != beta
+    lost_bits = math.ceil(math.log2(sys.float_info.min / (c * beta)))
+    want, got = kernel_P(spec, 0.5), kernel_P(scaled, 0.5)
+    assert got != want
+    assert abs(got - want) <= abs(want) * 2.0 ** (lost_bits - 52)
 
 
 @given(random_spec_and_funcs(), POW2)
