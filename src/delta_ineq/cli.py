@@ -18,6 +18,7 @@ from .calculus import func_from_json
 from .errors import ConfigError, DeltaIneqError
 from .harness import (
     TrialConfig,
+    _reject_unknown,
     bound_row,
     config_from_json,
     run_bound_suite,
@@ -170,10 +171,7 @@ def _run_suite(ns: argparse.Namespace, runner, has_rows: bool = False) -> int:
 
 def _run_sharpness(ns: argparse.Namespace) -> int:
     file_obj = _load_config_file(ns.config)
-    known = {"theorem", "spec", "config"}
-    extra = set(file_obj) - known
-    if extra:
-        raise ConfigError(f"unknown sharpness config fields {sorted(extra)}")
+    _reject_unknown(file_obj, {"theorem", "spec", "config"}, "sharpness config")
     theorem = ns.theorem if ns.theorem is not None else file_obj.get("theorem", "T5")
     spec = _spec_with_scale_override(
         ns, kernel_spec_from_json(file_obj.get("spec", DEFAULT_SHARPNESS_SPEC)))
@@ -193,10 +191,7 @@ def _run_eval(ns: argparse.Namespace) -> int:
     file_obj = _load_config_file(ns.config)
     if "spec" not in file_obj or "f" not in file_obj:
         raise ConfigError("eval config needs 'spec' and 'f'")
-    known = {"spec", "f", "g", "gamma", "big_gamma"}
-    extra = set(file_obj) - known
-    if extra:
-        raise ConfigError(f"unknown eval config fields {sorted(extra)}")
+    _reject_unknown(file_obj, {"spec", "f", "g", "gamma", "big_gamma"}, "eval config")
     spec = _spec_with_scale_override(ns, kernel_spec_from_json(file_obj["spec"]))
     f = func_from_json(file_obj["f"])
     g = func_from_json(file_obj["g"]) if "g" in file_obj else f

@@ -182,13 +182,18 @@ class TrialConfig:
             raise ConfigError("real-interval trials need polynomial function families")
 
 
+def _reject_unknown(obj: dict, known: set[str], what: str) -> None:
+    """Raise ConfigError naming every field of obj outside known."""
+    extra = set(obj) - known
+    if extra:
+        raise ConfigError(f"unknown {what} fields {sorted(extra)}")
+
+
 def _family_from_json(obj: dict, base: FuncFamily) -> FuncFamily:
     if not isinstance(obj, dict):
         raise ConfigError("function family config must be an object")
-    known = {"kind", "value_range", "max_degree", "coeff_range"}
-    extra = set(obj) - known
-    if extra:
-        raise ConfigError(f"unknown function family fields {sorted(extra)}")
+    _reject_unknown(obj, {"kind", "value_range", "max_degree", "coeff_range"},
+                    "function family")
     merged = dataclasses.asdict(base) | obj
     return FuncFamily(**merged)
 
@@ -197,11 +202,8 @@ def config_from_json(obj: dict) -> TrialConfig:
     """Build a TrialConfig from its JSON form; unknown keys are rejected."""
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"seed", "trials", "tolerance", "scales", "size_range",
-             "func", "weight", "variants", "scale"}
-    extra = set(obj) - known
-    if extra:
-        raise ConfigError(f"unknown config fields {sorted(extra)}")
+    _reject_unknown(obj, {"seed", "trials", "tolerance", "scales", "size_range",
+                          "func", "weight", "variants", "scale"}, "config")
     base = TrialConfig()
     try:
         return TrialConfig(

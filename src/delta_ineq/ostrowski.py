@@ -88,7 +88,7 @@ class KernelSpec:
     alpha == 0, x == b needs beta == 0).
 
     The kernel data every bound reads (the branch polynomials or the step
-    table of mu, P and h^Delta, the moments, the bracket terms) is computed
+    table of mu, P and h^Delta, the moments, the weight bracket) is computed
     on first use and kept by ``cached_property`` in the instance
     ``__dict__``.  None of it is a dataclass field: ==, hash, repr and the
     JSON form ignore it, ``dataclasses.replace`` builds a spec with none,
@@ -166,9 +166,9 @@ class KernelSpec:
         return Moments(i1, ia, i2)
 
     @cached_property
-    def _bracket_terms(self) -> tuple[float, float]:
-        """(alpha-side, beta-side) pieces of the weight bracket
-        alpha*(h(x)-h(a))/(x-a) and beta*(h(b)-h(x))/(b-x), zero when unweighted."""
+    def _bracket(self) -> float:
+        """The weight bracket B = alpha*(h(x)-h(a))/(x-a) + beta*(h(b)-h(x))/(b-x),
+        each term zero when its weight is."""
         h = self.h
         ba = 0.0
         if self.alpha > 0.0:
@@ -176,7 +176,7 @@ class KernelSpec:
         bb = 0.0
         if self.beta > 0.0:
             bb = self.beta * (feval(h, self.b) - feval(h, self.x)) / (self.b - self.x)
-        return ba, bb
+        return ba + bb
 
 
 @dataclass(frozen=True)
@@ -359,8 +359,7 @@ def montgomery_rhs(spec: KernelSpec, f: Func) -> float:
     """Closed side of the identity:
     f(x)/(alpha+beta) * bracket - S(f)/(alpha+beta)."""
     w = spec.alpha + spec.beta
-    ba, bb = spec._bracket_terms
-    return feval(f, spec.x) * (ba + bb) / w - _mean_side(spec, f) / w
+    return feval(f, spec.x) * spec._bracket / w - _mean_side(spec, f) / w
 
 
 def identity_residual(spec: KernelSpec, f: Func) -> float:
@@ -466,10 +465,9 @@ def bound_t6a(spec: KernelSpec, f: Func, g: Func,
     divides once more by w.
     """
     w = spec.alpha + spec.beta
-    ba, bb = spec._bracket_terms
     fx = feval(f, spec.x)
     gx = feval(g, spec.x)
-    lhs = abs(fx * gx * (ba + bb) / w
+    lhs = abs(fx * gx * spec._bracket / w
               - (gx * _mean_side(spec, f) + fx * _mean_side(spec, g)) / (2.0 * w))
     m1 = sup_abs_delta_derivative(spec.ts, f, spec.a, spec.b)
     m2 = sup_abs_delta_derivative(spec.ts, g, spec.a, spec.b)
@@ -494,8 +492,7 @@ def bound_t6b(spec: KernelSpec, f: Func, g: Func,
     the M1 M2 factor.
     """
     w = spec.alpha + spec.beta
-    ba, bb = spec._bracket_terms
-    bsum = ba + bb
+    bsum = spec._bracket
     fx = feval(f, spec.x)
     gx = feval(g, spec.x)
     sf = _mean_side(spec, f)

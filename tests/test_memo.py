@@ -174,7 +174,7 @@ def test_replace_builds_objects_without_the_old_memo(case):
     spec, f, g = CASES[case]()
     _results(spec, f, g)
     scaled = dataclasses.replace(spec, alpha=2.0 * spec.alpha + 1.0)
-    assert not {"_moments", "_grid", "_branch_polys", "_bracket_terms"} & set(vars(scaled))
+    assert not {"_moments", "_grid", "_branch_polys", "_bracket"} & set(vars(scaled))
     rebuilt = KernelSpec(ts=spec.ts, a=spec.a, b=spec.b, x=spec.x,
                          alpha=2.0 * spec.alpha + 1.0, beta=spec.beta, h=spec.h)
     assert _bits(kernel_moments(scaled)) == _bits(kernel_moments(rebuilt))
