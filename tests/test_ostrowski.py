@@ -305,9 +305,10 @@ POW2 = st.sampled_from([0.25, 0.5, 2.0, 4.0, 8.0])
 @settings(max_examples=60, deadline=None)
 def test_kernel_weight_scaling_exact_for_pow2(arg, c):
     spec, _ = arg
-    # power-of-two scaling is exact only while no scaled weight is subnormal
-    assume(all(w == 0.0 or w >= sys.float_info.min
-               for w in (c * spec.alpha, c * spec.beta)))
+    # power-of-two scaling is exact only while every nonzero weight scales to
+    # a normal float: below sys.float_info.min it loses bits or becomes 0
+    assume(all(w == 0.0 or c * w >= sys.float_info.min
+               for w in (spec.alpha, spec.beta)))
     scaled = KernelSpec(ts=spec.ts, a=spec.a, b=spec.b, x=spec.x,
                         alpha=c * spec.alpha, beta=c * spec.beta, h=spec.h)
     for t in spec.ts.grid_points(spec.a, spec.b):
