@@ -485,10 +485,11 @@ def run_identity_suite(config: TrialConfig) -> SuiteReport:
               max(1.0, abs(_product_delta(ts, f, spec.h, t_probe))), t=t_probe)
 
         if discrete:
+            mom = kernel_moments(spec)
             width = spec.b - spec.a
             r, r_var = korkine_residuals(spec, f)
             check("korkine", r, max(1.0, abs(lhs) / width))
-            check("kernel-variance", r_var, max(1.0, kernel_moments(spec).int_p2 / width))
+            check("kernel-variance", r_var, max(1.0, mom.int_p2 / width))
 
         variance, bound = gruss_variance_check(ts, f, spec.a, spec.b)
         check("variance-envelope", max(0.0, variance - bound), max(1.0, bound))

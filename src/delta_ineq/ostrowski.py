@@ -706,7 +706,8 @@ def gruss_variance_check(ts: TimeScale, f: Func, a: float, b: float,
     if not a < b:
         raise EmptyRange(f"empty range [{a}, {b})")
     gamma, big_gamma = _check_bracket(ts, f, a, b, gamma, big_gamma)
-    drift = (feval(f, b) - feval(f, a)) / (b - a)
+    width = b - a
+    drift = (feval(f, b) - feval(f, a)) / width
     variance = _fd_variance(ts, f, a, b, drift)
     bound = (0.5 * (big_gamma - gamma)) ** 2
     if variance > bound + CONSISTENCY_RTOL * max(1.0, bound):

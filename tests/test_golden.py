@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from delta_ineq import cli
-from delta_ineq.reporting import json_dumps
 
 WALL_TIME = re.compile(r'"wall_time_s":\s*[^,\n}]*')
 
@@ -97,20 +96,6 @@ def test_report_digest_is_unchanged(name, tmp_path):
     code, digest = _run(name, tmp_path)
     assert code == RUNS[name][2]
     assert digest == RUNS[name][3]
-
-
-@pytest.mark.parametrize("name", sorted(n for n in RUNS if "csv" not in RUNS[n][0]))
-def test_json_report_is_what_the_stdlib_writes(name, tmp_path, monkeypatch):
-    reports = []
-
-    def keep(obj):
-        reports.append(obj)
-        return json_dumps(obj)
-
-    monkeypatch.setattr(cli, "json_dumps", keep)
-    _run(name, tmp_path)
-    assert len(reports) == 1
-    assert json_dumps(reports[0]) == json.dumps(reports[0], indent=2)
 
 
 if __name__ == "__main__":
