@@ -7,9 +7,11 @@ Functions come in two representations:
 
 The delta derivative at a right-scattered point is the forward difference
 ``(f(sigma(t)) - f(t)) / mu(t)``; at a right-dense point it is the classical
-derivative (available only for polynomials).  The delta integral over [a, b)
-on a discrete scale is the finite sum of ``mu(t) * f(t)``; on a real interval
-it is the ordinary integral, evaluated through the antiderivative.
+derivative (available only for polynomials).  A delta integral over [a, b)
+is one fold over the window's ``pieces``: the sum of ``mu(t) * f(t)`` over
+its right-scattered points, then the ordinary integral over each dense piece,
+evaluated through the antiderivative (so f must be a polynomial there).  A
+discrete scale has no dense piece and a real interval no scattered point.
 """
 
 from __future__ import annotations
@@ -76,13 +78,13 @@ def poly_definite(coeffs: tuple[float, ...], lo: float, hi: float) -> float:
 # function representations
 
 
-# Each function object also carries ``_delta_memo``: per discrete window
-# (scale, a, b) the step table (mu, f^Delta, f) of ``_step_table``,
-# which every discrete delta integral and f^Delta envelope reads, and per
-# real window (scale, a, b, open) the f' candidate list of the derivative
-# envelopes in ostrowski.  It is not a dataclass field, so ==, hash, repr
-# and the JSON form ignore it, dataclasses.replace starts an empty one, and
-# it lives and dies with its function.
+# Each function object also carries ``_delta_memo``: per window (scale, a, b)
+# the step table (mu, f^Delta, f, dense) of ``_step_table``, which every
+# delta integral and f^Delta envelope reads, and per window with a dense
+# piece the f' candidate list of the derivative envelopes in ostrowski.  It
+# is not a dataclass field, so ==, hash, repr and the JSON form ignore it,
+# dataclasses.replace starts an empty one, and it lives and dies with its
+# function.
 
 
 @dataclass(frozen=True)
@@ -160,20 +162,24 @@ def feval(f: Func, t: float) -> float:
 
 
 def _step_table(ts: TimeScale, f: Func, a: float, b: float
-                ) -> tuple[list[float], list[float], list[float]]:
-    """(mu, f^Delta, f) of the discrete window [a, b), with a and b
-    canonical: mu and f^Delta per step of [a, b), and f at every point of
-    [a, b], so f(t) and f(sigma(t)) of step i are f[i] and f[i + 1].  Kept
-    in f's memo under (ts, a, b) and shared by every caller: treat it as
-    read-only."""
+                ) -> tuple[list[float], list[float], list[float], tuple]:
+    """(mu, f^Delta, f, dense) of the window [a, b), with a and b
+    canonical: mu and f^Delta per right-scattered step of [a, b); f at each
+    step and at b (at a and b when there is no step), so f[0] is f(a),
+    f[-1] is f(b), and f(t) and f(sigma(t)) of step i are f[i] and
+    f[i + 1]; and the dense pieces (lo, hi) of ``ts.pieces``.  A window with
+    a dense piece needs a polynomial f.  Kept in f's memo under (ts, a, b)
+    and shared by every caller: treat it as read-only."""
     table = f._delta_memo.get((ts, a, b))
     if table is None:
-        pts = ts.grid_points(a, b)
-        vals = [feval(f, t) for t in pts]
+        pts, dense = ts.pieces(a, b)
+        if dense and not isinstance(f, Polynomial):
+            raise ContinuousScale("a sampled function has no integral over a dense piece")
+        vals = [feval(f, t) for t in pts or [a]]
         vals.append(feval(f, b))
         mus = [nxt - t for t, nxt in zip(pts, pts[1:] + [b])]
         fds = [(fnxt - ft) / mu for ft, fnxt, mu in zip(vals, vals[1:], mus)]
-        table = f._delta_memo[(ts, a, b)] = (mus, fds, vals)
+        table = f._delta_memo[(ts, a, b)] = (mus, fds, vals, dense)
     return table
 
 
@@ -199,8 +205,9 @@ def delta_derivative(ts: TimeScale, f: Func, t: float) -> float:
 def delta_integral(ts: TimeScale, f: Func, a: float, b: float) -> float:
     """Delta integral of f over [a, b), with orientation.
 
-    Discrete scales: the finite sum of mu(t) * f(t) over the grid points of
-    [a, b).  Real interval with a polynomial: antiderivative difference.
+    The sum of mu(t) * f(t) over the right-scattered points of [a, b), then
+    the antiderivative difference of a polynomial f over each dense piece.
+    Reads f only on [a, b).
     """
     a = ts.canon(a)
     b = ts.canon(b)
@@ -208,14 +215,14 @@ def delta_integral(ts: TimeScale, f: Func, a: float, b: float) -> float:
         return 0.0
     if a > b:
         return -delta_integral(ts, f, b, a)
-    if isinstance(ts, RealInterval):
-        if isinstance(f, Polynomial):
-            return poly_definite(f.coeffs, a, b)
-        raise ContinuousScale("sampled functions cannot be integrated on a real interval")
-    pts = ts.grid_points(a, b)
+    pts, dense = ts.pieces(a, b)
+    if dense and not isinstance(f, Polynomial):
+        raise ContinuousScale("sampled functions cannot be integrated on a dense piece")
     total = 0.0
     for t, nxt in zip(pts, pts[1:] + [b]):
         total += (nxt - t) * feval(f, t)
+    for lo, hi in dense:
+        total += poly_definite(f.coeffs, lo, hi)
     return total
 
 
@@ -281,19 +288,15 @@ def parts_residual(ts: TimeScale, f: Func, g: Func, a: float, b: float) -> float
     """
     a = ts.canon(a)
     b = ts.canon(b)
-    if isinstance(ts, RealInterval):
-        boundary = feval(f, b) * feval(g, b) - feval(f, a) * feval(g, a)
-        if not (isinstance(f, Polynomial) and isinstance(g, Polynomial)):
-            raise ContinuousScale("integration by parts needs polynomials on a real interval")
-        left = poly_definite(poly_mul(f.coeffs, poly_derive(g.coeffs)), a, b)
-        right = poly_definite(poly_mul(poly_derive(f.coeffs), g.coeffs), a, b)
-        return left - (boundary - right)
-    mus, fds, fv = _step_table(ts, f, a, b)
-    _, gds, gv = _step_table(ts, g, a, b)
+    mus, fds, fv, dense = _step_table(ts, f, a, b)
+    _, gds, gv, _ = _step_table(ts, g, a, b)
     boundary = fv[-1] * gv[-1] - fv[0] * gv[0]
     left = 0.0
     right = 0.0
     for mu, ft, fd, gd, gs in zip(mus, fv, fds, gds, gv[1:]):
         left += mu * ft * gd
         right += mu * fd * gs
+    for lo, hi in dense:
+        left += poly_definite(poly_mul(f.coeffs, poly_derive(g.coeffs)), lo, hi)
+        right += poly_definite(poly_mul(poly_derive(f.coeffs), g.coeffs), lo, hi)
     return left - (boundary - right)

@@ -421,14 +421,13 @@ def _require_trials(config: TrialConfig) -> None:
 
 def _int_f_gdelta(spec: KernelSpec, f: Func, g: Func) -> float:
     """Reference magnitude for the integration-by-parts check."""
-    ts = spec.ts
-    if isinstance(ts, RealInterval):
-        return poly_definite(poly_mul(f.coeffs, poly_derive(g.coeffs)), spec.a, spec.b)
-    fv = _step_table(ts, f, spec.a, spec.b)[2]
-    gv = _step_table(ts, g, spec.a, spec.b)[2]
+    mus, _, fv, dense = _step_table(spec.ts, f, spec.a, spec.b)
+    gv = _step_table(spec.ts, g, spec.a, spec.b)[2]
     total = 0.0
-    for ft, gt, gs in zip(fv, gv, gv[1:]):
+    for _, ft, gt, gs in zip(mus, fv, gv, gv[1:]):     # one term per step
         total += ft * (gs - gt)
+    for lo, hi in dense:
+        total += poly_definite(poly_mul(f.coeffs, poly_derive(g.coeffs)), lo, hi)
     return total
 
 
@@ -469,7 +468,6 @@ def run_identity_suite(config: TrialConfig) -> SuiteReport:
         rng = trial_rng(config.seed, i)
         spec, f, _ = _draw_trial(rng, config, with_g=False)
         ts = spec.ts
-        discrete = not isinstance(ts, RealInterval)
 
         lhs = montgomery_lhs(spec, f)
         rhs = montgomery_rhs(spec, f)
@@ -477,14 +475,15 @@ def run_identity_suite(config: TrialConfig) -> SuiteReport:
         check("integration-by-parts", parts_residual(ts, f, spec.h, spec.a, spec.b),
               max(1.0, abs(_int_f_gdelta(spec, f, spec.h))))
 
-        if discrete:
-            t_probe = rng.choice(ts.grid_points(spec.a, spec.b))
-        else:
+        steps, dense = ts.pieces(spec.a, spec.b)
+        if dense:
             t_probe = spec.a + rng.uniform(0.1, 0.9) * (spec.b - spec.a)
+        else:
+            t_probe = rng.choice(steps)
         check("product-rule", product_rule_residual(ts, f, spec.h, t_probe),
               max(1.0, abs(_product_delta(ts, f, spec.h, t_probe))), t=t_probe)
 
-        if discrete:
+        if not dense:
             mom = kernel_moments(spec)
             width = spec.b - spec.a
             r, r_var = korkine_residuals(spec, f)
@@ -714,11 +713,11 @@ def sharpness_search(theorem: str, spec: KernelSpec, config: TrialConfig) -> Sha
     """
     if theorem not in THEOREMS:
         raise UnsupportedTheorem(f"unknown theorem id {theorem!r}")
-    if isinstance(spec.ts, RealInterval):
+    steps, dense = spec.ts.pieces(spec.a, spec.b)
+    if dense:
         raise UnsupportedTheorem("sharpness search runs on discrete scales only")
     rng = trial_rng(config.seed, 0)
-    ts = spec.ts
-    pts = ts.grid_points(spec.a, spec.b) + [spec.b]
+    pts = steps + [spec.b]
     r = config.func_family.value_range
     f = Sampled(table={t: rng.uniform(-r, r) for t in pts})
     g = Sampled(table={t: rng.uniform(-r, r) for t in pts}) if _needs_g(theorem) else None

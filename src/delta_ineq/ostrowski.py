@@ -87,8 +87,8 @@ class KernelSpec:
     and x strictly interior unless its branch has weight zero (x == a needs
     alpha == 0, x == b needs beta == 0).
 
-    The kernel data every bound reads (the branch polynomials or the step
-    table of mu, P and h^Delta, the moments, the weight bracket) is computed
+    The kernel data every bound reads (the steps of mu, P and h^Delta and
+    the dense pieces of P, the moments, the weight bracket) is computed
     on first use and kept by ``cached_property`` in the instance
     ``__dict__``.  None of it is a dataclass field: ==, hash, repr and the
     JSON form ignore it, ``dataclasses.replace`` builds a spec with none,
@@ -123,46 +123,43 @@ class KernelSpec:
             raise ConfigError("x must be interior unless its branch weight is zero")
 
     @cached_property
-    def _branch_polys(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """The two kernel branches as polynomials in t (real-interval path)."""
-        if not isinstance(self.h, Polynomial):
-            raise ContinuousScale("kernel on a real interval needs a polynomial weight")
+    def _grid(self) -> tuple[list[float], list[float], list[float], int, tuple]:
+        """The window [a, b): per right-scattered step, mu, P(t) and
+        h^Delta(t); k, the number of steps with t < x, so [0, k) covers
+        [a, x) and [k, n) [x, b); and the dense pieces split at x, as
+        (lo, hi, P as a polynomial in t).  Read from h's step table for
+        [a, b); k is counted by sigma steps."""
         c1, c2 = _branch_coeffs(self)
-        hc = self.h.coeffs
-        left = poly_scale(poly_add(hc, (-poly_eval(hc, self.a),)), c1)
-        right = poly_scale(poly_add((poly_eval(hc, self.b),), poly_scale(hc, -1.0)), -c2)
-        return left, right
-
-    @cached_property
-    def _grid(self) -> tuple[list[float], list[float], list[float], int]:
-        """Per step of [a, b) (discrete): mu, P(t) and h^Delta(t); and k, the
-        number of steps with t < x, so [0, k) covers [a, x) and [k, n) [x, b).
-        Read from h's step table for [a, b); k is counted by sigma steps."""
-        c1, c2 = _branch_coeffs(self)
-        mus, hds, hv = _step_table(self.ts, self.h, self.a, self.b)
+        mus, hds, hv, dense = _step_table(self.ts, self.h, self.a, self.b)
         k, t = 0, self.a
-        while t < self.x:
+        while k < len(mus) and t < self.x:
             k, t = k + 1, self.ts.sigma(t)
         ps = [c1 * (hv[i] - hv[0]) if i < k else -c2 * (hv[-1] - hv[i])
               for i in range(len(mus))]
-        return mus, ps, hds, k
+        pieces = []
+        for lo, hi in dense:
+            hc = self.h.coeffs          # a dense piece needs a polynomial h
+            if lo < self.x:
+                left = poly_scale(poly_add(hc, (-hv[0],)), c1)
+                pieces.append((lo, min(hi, self.x), left))
+            if self.x < hi:
+                right = poly_scale(poly_add((hv[-1],), poly_scale(hc, -1.0)), -c2)
+                pieces.append((max(lo, self.x), hi, right))
+        return mus, ps, hds, k, tuple(pieces)
 
     @cached_property
     def _moments(self) -> Moments:
         """Delta integrals of P, |P|, P**2 over [a, b)."""
-        if isinstance(self.ts, RealInterval):
-            left, right = self._branch_polys
-            i1 = poly_definite(left, self.a, self.x) + poly_definite(right, self.x, self.b)
-            ia = _abs_definite(left, self.a, self.x) + _abs_definite(right, self.x, self.b)
-            i2 = (poly_definite(poly_mul(left, left), self.a, self.x)
-                  + poly_definite(poly_mul(right, right), self.x, self.b))
-            return Moments(i1, ia, i2)
-        mus, ps, _, _ = self._grid
+        mus, ps, _, _, dense = self._grid
         i1 = ia = i2 = 0.0
         for mu, p in zip(mus, ps):
             i1 += mu * p
             ia += mu * abs(p)
             i2 += mu * p * p
+        for lo, hi, p in dense:
+            i1 += poly_definite(p, lo, hi)
+            ia += _abs_definite(p, lo, hi)
+            i2 += poly_definite(poly_mul(p, p), lo, hi)
         return Moments(i1, ia, i2)
 
     @cached_property
@@ -310,18 +307,13 @@ def kernel_moments(spec: KernelSpec) -> Moments:
 
 def montgomery_lhs(spec: KernelSpec, f: Func) -> float:
     """Delta integral of P(x, t) * f^Delta(t) over [a, b)."""
-    if isinstance(spec.ts, RealInterval):
-        if not isinstance(f, Polynomial):
-            raise ContinuousScale("montgomery_lhs on a real interval needs a polynomial f")
-        left, right = spec._branch_polys
-        fd = poly_derive(f.coeffs)
-        return (poly_definite(poly_mul(left, fd), spec.a, spec.x)
-                + poly_definite(poly_mul(right, fd), spec.x, spec.b))
-    mus, ps, _, _ = spec._grid
-    _, fds, _ = _step_table(spec.ts, f, spec.a, spec.b)
+    mus, ps, _, _, dense = spec._grid
+    _, fds, _, _ = _step_table(spec.ts, f, spec.a, spec.b)
     total = 0.0
     for mu, p, fd in zip(mus, ps, fds):
         total += mu * p * fd
+    for lo, hi, p in dense:
+        total += poly_definite(poly_mul(p, poly_derive(f.coeffs)), lo, hi)
     return total
 
 
@@ -330,17 +322,16 @@ def _sigma_mean_integral(spec: KernelSpec, f: Func, lo: float, hi: float) -> flo
     and hi are each one of the spec's a, x, b."""
     if lo == hi:
         return 0.0
-    if isinstance(spec.ts, RealInterval):
-        if not (isinstance(f, Polynomial) and isinstance(spec.h, Polynomial)):
-            raise ContinuousScale("sigma-mean on a real interval needs polynomials")
-        return poly_definite(poly_mul(poly_derive(spec.h.coeffs), f.coeffs), lo, hi)
-    mus, _, hds, k = spec._grid
+    mus, _, hds, k, dense = spec._grid
     fv = _step_table(spec.ts, f, spec.a, spec.b)[2]
     i = 0 if lo == spec.a else k
     j = k if hi == spec.x else len(mus)
     total = 0.0
     for mu, hd, fs in zip(mus[i:j], hds[i:j], fv[i + 1:j + 1]):
         total += mu * hd * fs
+    for plo, phi, _ in dense:
+        if lo <= plo and phi <= hi:
+            total += poly_definite(poly_mul(poly_derive(spec.h.coeffs), f.coeffs), plo, phi)
     return total
 
 
@@ -373,28 +364,25 @@ def identity_residual(spec: KernelSpec, f: Func) -> float:
 
 def _derivative_candidates(ts: TimeScale, f: Func, a: float, b: float,
                            open_interval: bool) -> list[float]:
-    """f^Delta values over [a, b) (discrete) or critical values of f' on
-    [a, b] (real interval).  open_interval drops the left endpoint.  The
-    values are kept in f's memo under their window; callers must not mutate
-    them."""
+    """f^Delta at each step of [a, b), then the critical values of f' on
+    each dense piece [lo, hi]: at lo, hi and the roots of f''.
+    open_interval drops the step at a.  The f' values are kept in f's memo,
+    one list per window; callers must not mutate what they get."""
     a = ts.canon(a)
     b = ts.canon(b)
     if not a < b:
         raise EmptyRange(f"empty derivative range [{a}, {b})")
-    if not isinstance(ts, RealInterval):
-        fds = _step_table(ts, f, a, b)[1]
-        return fds[1:] if open_interval else fds
-    key = (ts, a, b, open_interval)
-    out = f._delta_memo.get(key)
-    if out is not None:
-        return out
-    if not isinstance(f, Polynomial):
-        raise ContinuousScale("derivative envelope on a real interval needs a polynomial")
-    fd = poly_derive(f.coeffs)
-    where = [a, b] + _roots_in(poly_derive(fd), a, b)
-    out = [poly_eval(fd, t) for t in where]
-    f._delta_memo[key] = out
-    return out
+    _, fds, _, dense = _step_table(ts, f, a, b)
+    steps = fds[1:] if open_interval else fds
+    if not dense:
+        return steps
+    crit = f._delta_memo.get((ts, a, b, "f'"))
+    if crit is None:
+        fd = poly_derive(f.coeffs)
+        crit = f._delta_memo[(ts, a, b, "f'")] = [
+            poly_eval(fd, t) for lo, hi in dense
+            for t in [lo, hi] + _roots_in(poly_derive(fd), lo, hi)]
+    return steps + crit
 
 
 def sup_abs_delta_derivative(ts: TimeScale, f: Func, a: float, b: float) -> float:
@@ -519,16 +507,13 @@ def bound_t6b(spec: KernelSpec, f: Func, g: Func,
 def _fd_variance(ts: TimeScale, f: Func, a: float, b: float, drift: float) -> float:
     """Variance of f^Delta over [a, b): the mean of (f^Delta)**2 less
     drift**2, where drift = (f(b) - f(a))/(b - a) is the mean of f^Delta."""
-    if isinstance(ts, RealInterval):
-        if not isinstance(f, Polynomial):
-            raise ContinuousScale("needs a polynomial f on a real interval")
-        fd = poly_derive(f.coeffs)
-        total = poly_definite(poly_mul(fd, fd), a, b)
-    else:
-        mus, fds, _ = _step_table(ts, f, a, b)
-        total = 0.0
-        for mu, fd in zip(mus, fds):
-            total += mu * fd * fd
+    mus, fds, _, dense = _step_table(ts, f, a, b)
+    total = 0.0
+    for mu, fd in zip(mus, fds):
+        total += mu * fd * fd
+    for lo, hi in dense:
+        d = poly_derive(f.coeffs)
+        total += poly_definite(poly_mul(d, d), lo, hi)
     return _clamped_variance(total / (b - a) - drift * drift)
 
 
@@ -622,9 +607,9 @@ def evaluate_bounds(spec: KernelSpec, f: Func, g: Func, variants: tuple[Variant,
 
 
 def _mu_and_kernel(spec: KernelSpec) -> tuple[list[float], list[float]]:
-    if isinstance(spec.ts, RealInterval):
-        raise ContinuousScale("Korkine cross-check runs on discrete scales only")
-    mus, ps, _, _ = spec._grid
+    mus, ps, _, _, dense = spec._grid
+    if dense:
+        raise ContinuousScale("Korkine cross-check runs on windows without a dense piece")
     return mus, ps
 
 
@@ -670,7 +655,7 @@ def korkine_residuals(spec: KernelSpec, f: Func) -> tuple[float, float]:
     """(korkine_residual(spec, f), kernel_variance_residual(spec)) from one
     pass over the pairs; each ~0 always."""
     mus, ps = _mu_and_kernel(spec)
-    _, fds, _ = _step_table(spec.ts, f, spec.a, spec.b)
+    fds = _step_table(spec.ts, f, spec.a, spec.b)[1]
     return _korkine_defects(mus, ps, fds, spec.b - spec.a)
 
 
@@ -833,20 +818,18 @@ def reduction_weighted_ostrowski(ts: TimeScale, f: Func, h: Func,
     width = b - a
     lhs = abs(feval(f, x) * (feval(h, b) - feval(h, a)) / width
               - _sigma_mean_integral(spec, f, a, b) / width)
-    if isinstance(ts, RealInterval):
-        if not isinstance(h, Polynomial):
-            raise ContinuousScale("the reduction on a real interval needs a polynomial h")
-        left = poly_add(h.coeffs, (-poly_eval(h.coeffs, a),))
-        right = poly_add((poly_eval(h.coeffs, b),), poly_scale(h.coeffs, -1.0))
-        bracket = _abs_definite(left, a, x) + _abs_definite(right, x, b)
-    else:
-        mus, _, _, k = spec._grid
-        hv = _step_table(ts, h, a, b)[2]
-        bracket = 0.0
-        for i in range(k):
-            bracket += mus[i] * abs(hv[i] - hv[0])
-        for i in range(k, len(mus)):
-            bracket += mus[i] * abs(hv[-1] - hv[i])
+    mus, _, _, k, dense = spec._grid
+    hv = _step_table(ts, h, a, b)[2]
+    bracket = 0.0
+    for i in range(k):
+        bracket += mus[i] * abs(hv[i] - hv[0])
+    for i in range(k, len(mus)):
+        bracket += mus[i] * abs(hv[-1] - hv[i])
+    for lo, hi, _ in dense:
+        if hi <= x:
+            bracket += _abs_definite(poly_add(h.coeffs, (-hv[0],)), lo, hi)
+        else:
+            bracket += _abs_definite(poly_add((hv[-1],), poly_scale(h.coeffs, -1.0)), lo, hi)
     m = sup_abs_delta_derivative(ts, f, a, b)
     rhs = m / width * bracket
     other = m * kernel_moments(spec).int_abs_p

@@ -8,9 +8,11 @@ A time scale here is one of
 * ``RealInterval``   -- the continuum ``[lo, hi]``.
 
 Each family implements the jump operators sigma (forward) and rho (backward),
-the graininess ``mu(t) = sigma(t) - t``, point classification, and enumeration
-of the half-open range ``[a, b)`` for the discrete families.  Jump operators
-saturate at the extremes: ``sigma(max) = max`` and ``rho(min) = min``.
+the graininess ``mu(t) = sigma(t) - t``, point classification, enumeration
+of the half-open range ``[a, b)`` for the discrete families, and ``pieces``,
+the split of a window ``[a, b)`` into right-scattered points and dense pieces
+that every delta integral folds over.  Jump operators saturate at the
+extremes: ``sigma(max) = max`` and ``rho(min) = min``.
 
 The q-lattice is a finite truncation; it never includes the accumulation
 point 0, so every member is isolated and the discrete enumeration is exact.
@@ -84,10 +86,6 @@ class _ScaleBase:
     def max_point(self) -> float:
         raise NotImplementedError
 
-    @property
-    def is_discrete(self) -> bool:
-        raise NotImplementedError
-
     def all_points(self) -> list[float]:
         raise NotImplementedError
 
@@ -115,13 +113,18 @@ class _ScaleBase:
 
     def grid_points(self, a: float, b: float) -> list[float]:
         """Members t with a <= t < b, ascending.  Discrete families only."""
-        if not self.is_discrete:
-            raise ContinuousScale("grid_points is undefined on a real interval")
         a = self.canon(a)
         b = self.canon(b)
         if a >= b:
             raise EmptyRange(f"empty enumeration range [{a}, {b})")
         return self._slice(a, b)
+
+    def pieces(self, a: float, b: float) -> tuple[list[float], tuple[tuple[float, float], ...]]:
+        """The window [a, b) as its right-scattered points, ascending, and its
+        dense pieces (lo, hi), ascending.  A delta integral over [a, b) is the
+        sum of mu(t) * value over the points plus the ordinary integral over
+        the pieces.  The discrete families have no dense piece."""
+        return self.grid_points(a, b), ()
 
     def _slice(self, a: float, b: float) -> list[float]:
         raise NotImplementedError
@@ -146,10 +149,6 @@ class FiniteGrid(_ScaleBase):
     @property
     def kind(self) -> str:
         return "grid"
-
-    @property
-    def is_discrete(self) -> bool:
-        return True
 
     @property
     def min_point(self) -> float:
@@ -198,10 +197,6 @@ class IntegerInterval(_ScaleBase):
     @property
     def kind(self) -> str:
         return "integer"
-
-    @property
-    def is_discrete(self) -> bool:
-        return True
 
     @property
     def min_point(self) -> float:
@@ -266,10 +261,6 @@ class QLattice(_ScaleBase):
         return "qlattice"
 
     @property
-    def is_discrete(self) -> bool:
-        return True
-
-    @property
     def min_point(self) -> float:
         return self.q ** self.kmin
 
@@ -328,10 +319,6 @@ class RealInterval(_ScaleBase):
         return "real"
 
     @property
-    def is_discrete(self) -> bool:
-        return False
-
-    @property
     def min_point(self) -> float:
         return self.lo
 
@@ -352,6 +339,16 @@ class RealInterval(_ScaleBase):
 
     def all_points(self) -> list[float]:
         raise ContinuousScale("a real interval cannot be enumerated")
+
+    def _slice(self, a: float, b: float) -> list[float]:
+        raise ContinuousScale("grid_points is undefined on a real interval")
+
+    def pieces(self, a: float, b: float) -> tuple[list[float], tuple[tuple[float, float], ...]]:
+        """No right-scattered point: [a, b) is one dense piece."""
+        a, b = self.canon(a), self.canon(b)
+        if a >= b:
+            raise EmptyRange(f"empty range [{a}, {b})")
+        return [], ((a, b),)
 
 
 TimeScale = Union[FiniteGrid, IntegerInterval, QLattice, RealInterval]

@@ -234,7 +234,9 @@ def test_function_memo_never_answers_for_another_window():
         answers.append(got)
     # The polynomial's windows differ too, so a shared memo entry would show.
     assert answers[7] != answers[8] and answers[8] != answers[9]
-    assert len(f._delta_memo) == 4 and len(poly._delta_memo) == 4
+    # poly: a step table and one f' list per real window, which the open
+    # and closed envelopes share
+    assert len(f._delta_memo) == 4 and len(poly._delta_memo) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +597,9 @@ def test_fused_korkine_pass_matches_both_references(case):
 @pytest.mark.parametrize("case", sorted(DISCRETE_CASES))
 def test_kernel_grid_leaves_the_step_table_of_h(case):
     spec, _, _ = _fresh(*DISCRETE_CASES[case]())
-    mus, _, hds, _ = spec._grid
+    mus, _, hds, _, dense = spec._grid
     table = _step_table(spec.ts, spec.h, spec.a, spec.b)
-    assert table[0] is mus and table[1] is hds
+    assert table[0] is mus and table[1] is hds and dense == table[3] == ()
     assert list(spec.h._delta_memo) == [(spec.ts, spec.a, spec.b)]
     points = [t for t, _ in _ref_steps(spec.ts, spec.a, spec.b)] + [spec.b]
     assert _bits(tuple(table[2])) == _bits(tuple(feval(spec.h, t) for t in points))
