@@ -402,6 +402,17 @@ def delta_derivative_range(ts: TimeScale, f: Func, a: float, b: float) -> tuple[
     return min(vals), max(vals)
 
 
+def _kernel_sup(spec: KernelSpec, f: Func) -> float:
+    """M of the kernel bounds T5, T6a and T6b: sup |f^Delta| over (a, b),
+    and over [a, b) when x == a, where P(a) = -beta/w (h(b) - h(a))/(b - a)
+    need not vanish, so f^Delta(a) enters the integral of P f^Delta."""
+    m = sup_abs_delta_derivative(spec.ts, f, spec.a, spec.b)
+    if spec.x == spec.a:
+        lo, hi = delta_derivative_range(spec.ts, f, spec.a, spec.b)
+        m = max(m, abs(lo), abs(hi))
+    return m
+
+
 def _check_bracket(ts: TimeScale, f: Func, a: float, b: float,
                    gamma: float | None, big_gamma: float | None) -> tuple[float, float]:
     lo, hi = delta_derivative_range(ts, f, a, b)
@@ -430,13 +441,14 @@ def _clamped_variance(v: float) -> float:
 
 
 def bound_t5(spec: KernelSpec, f: Func, variant: Variant = Variant.CORRECTED) -> BoundReport:
-    """First-derivative bound: |montgomery_rhs| <= M * int |P|.
+    """First-derivative bound: |montgomery_rhs| <= M * int |P|, with M the
+    sup of |f^Delta| of _kernel_sup.
 
     The literal variant divides the right side by (alpha + beta), as
     printed; that normalization is not scale invariant and can be violated.
     """
     lhs = abs(montgomery_rhs(spec, f))
-    m = sup_abs_delta_derivative(spec.ts, f, spec.a, spec.b)
+    m = _kernel_sup(spec, f)
     rhs = m * kernel_moments(spec).int_abs_p
     if variant is Variant.PAPER_LITERAL:
         rhs /= spec.alpha + spec.beta
@@ -457,8 +469,8 @@ def bound_t6a(spec: KernelSpec, f: Func, g: Func,
     gx = feval(g, spec.x)
     lhs = abs(fx * gx * spec._bracket / w
               - (gx * _mean_side(spec, f) + fx * _mean_side(spec, g)) / (2.0 * w))
-    m1 = sup_abs_delta_derivative(spec.ts, f, spec.a, spec.b)
-    m2 = sup_abs_delta_derivative(spec.ts, g, spec.a, spec.b)
+    m1 = _kernel_sup(spec, f)
+    m2 = _kernel_sup(spec, g)
     rhs = (m1 * abs(gx) + m2 * abs(fx)) / 2.0 * kernel_moments(spec).int_abs_p
     if variant is Variant.PAPER_LITERAL:
         rhs /= w
@@ -498,9 +510,7 @@ def bound_t6b(spec: KernelSpec, f: Func, g: Func,
     iabs = kernel_moments(spec).int_abs_p
     rhs = w * w * iabs * iabs
     if variant is Variant.CORRECTED:
-        m1 = sup_abs_delta_derivative(spec.ts, f, spec.a, spec.b)
-        m2 = sup_abs_delta_derivative(spec.ts, g, spec.a, spec.b)
-        rhs *= m1 * m2
+        rhs *= _kernel_sup(spec, f) * _kernel_sup(spec, g)
     return BoundReport("T6b", variant, lhs, rhs, rhs - lhs)
 
 

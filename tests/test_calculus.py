@@ -122,6 +122,14 @@ def test_delta_integral_additivity():
     assert whole == pytest.approx(split, rel=1e-14)
 
 
+def test_delta_integral_reads_f_only_on_the_half_open_window():
+    # no sample at b = 4: the integral over [0, 4) never reads f(b)
+    s = Sampled({0.0: 1.0, 1.0: 2.0, 2.0: -3.0, 3.0: 0.5})
+    assert delta_integral(Z04, s, 0.0, 4.0) == 0.5
+    assert delta_integral(Z04, s, 4.0, 0.0) == -0.5
+    assert delta_integral(QLattice(2.0, 0, 2), Sampled({1.0: 3.0, 2.0: -1.0}), 1.0, 4.0) == 1.0
+
+
 # ----------------------------------------------------------------- monomials
 
 def test_h_monomial_low_orders_integer():

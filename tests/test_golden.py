@@ -33,6 +33,14 @@ EVAL_QLATTICE = {
     "f": {"repr": "poly", "coeffs": [1.0, 0.5, -0.25, 0.125]},
     "g": {"repr": "poly", "coeffs": [-2.0, 0.75]},
 }
+# x = a with alpha = 0: P(a) = -beta/w (h(b) - h(a))/(b - a) is not 0, so
+# M, M1 and M2 take f^Delta(a) in; f's only step is at a
+EVAL_ANCHOR = {
+    "spec": {"scale": {"kind": "integer", "lo": 0, "hi": 4},
+             "a": 0, "b": 4, "x": 0, "alpha": 0, "beta": 1,
+             "h": {"repr": "poly", "coeffs": [0.0, 1.0]}},
+    "f": {"repr": "sampled", "table": [[0, 0], [1, 100], [2, 100], [3, 100], [4, 100]]},
+}
 SHARPNESS_T6B = {
     "theorem": "T6b",
     "spec": {"scale": {"kind": "integer", "lo": 0, "hi": 10},
@@ -71,6 +79,9 @@ RUNS = {
     "eval": (
         ["eval", "--variant", "both"], EVAL_QLATTICE, 0,
         "1ccfa7344b71779286e8586efb148e73da8f9f40044594adaa87fd931f61f5e3"),
+    "eval-anchor": (
+        ["eval", "--variant", "both"], EVAL_ANCHOR, 0,
+        "3b3e2329aed161c45457a1fbf3cb7b08804a44b727a0a4272e2207bedf6a66b3"),
     "eval-csv": (
         ["eval", "--variant", "both", "--format", "csv"], EVAL_QLATTICE, 0,
         "b15299820eaef7f64b1a236e6c194a9a79a99e4b82511b28fd0063d941bf437d"),

@@ -50,7 +50,7 @@ from delta_ineq import (
     sup_abs_delta_derivative,
 )
 from delta_ineq.calculus import poly_definite
-from delta_ineq.ostrowski import ROOT_SCAN_CELLS, _abs_definite, _roots_in
+from delta_ineq.ostrowski import ROOT_SCAN_CELLS, _abs_definite, _mean_side, _roots_in
 
 T_SQUARED = Polynomial((0.0, 0.0, 1.0))
 IDENT = Polynomial((0.0, 1.0))
@@ -195,9 +195,30 @@ def random_spec_and_funcs(draw):
 @settings(max_examples=150, deadline=None)
 def test_identity_residual_property(arg):
     spec, f = arg
-    lhs = montgomery_lhs(spec, f)
     res = identity_residual(spec, f)
-    assert abs(res) <= 1e-10 * max(1.0, abs(lhs))
+    assert abs(res) <= 1e-10 * _identity_scale(spec, f)
+
+
+def _identity_scale(spec, f):
+    """The largest of 1, |lhs| and the two terms of montgomery_rhs,
+    f(x) B / w and S(f) / w: they cancel when the kernel is steep, and the
+    residual's round-off scales with them, not with lhs."""
+    w = spec.alpha + spec.beta
+    return max(1.0, abs(montgomery_lhs(spec, f)),
+               abs(feval(f, spec.x) * spec._bracket) / w, abs(_mean_side(spec, f)) / w)
+
+
+def test_identity_residual_of_a_steep_kernel_is_round_off_of_its_terms():
+    # an example hypothesis found: h rises by 2 over the step of 1e-05 at a,
+    # so f(x) B / w and S(f) / w are each about 6e5 and cancel, while lhs is
+    # exactly 0; the residual is one ulp of the cancelling terms
+    pts = (0.0, 1e-05, 1.0, 2.0)
+    h = Sampled({t: 2.0 if t == 1e-05 else 0.0 for t in pts})
+    f = Sampled({t: 3.0 if t == 1e-05 else 0.0 for t in pts})
+    spec = KernelSpec(ts=FiniteGrid(pts), a=0.0, b=2.0, x=1e-05, alpha=1.0, beta=0.0, h=h)
+    terms = max(abs(feval(f, spec.x) * spec._bracket), abs(_mean_side(spec, f)))
+    assert montgomery_lhs(spec, f) == 0.0 and 5e5 < terms < 7e5
+    assert abs(identity_residual(spec, f)) <= math.ulp(terms)
 
 
 # ------------------------------------------------------ derivative envelope
@@ -256,6 +277,23 @@ def test_t6b_worked(worked):
     assert not lit.passes(1e-10)                         # the printed bound fails
     assert cor.rhs == pytest.approx(196.0, abs=1e-12)
     assert cor.passes(1e-10)
+
+
+def test_endpoint_anchor_takes_the_step_at_a_into_m():
+    # x = a with alpha = 0: P(a) = -beta/w (h(b) - h(a))/(b - a) = -1, so the
+    # step of f at a enters the integral of P f^Delta, and M, M1 and M2 must
+    # take f^Delta(a) in although sup |f^Delta| over (a, b) is 0
+    ts = IntegerInterval(0, 4)
+    spec = KernelSpec(ts=ts, a=0.0, b=4.0, x=0.0, alpha=0.0, beta=1.0, h=IDENT)
+    f = Sampled({0: 0, 1: 100, 2: 100, 3: 100, 4: 100})
+    assert kernel_P(spec, 0.0) == -1.0
+    assert sup_abs_delta_derivative(ts, f, 0.0, 4.0) == 0.0
+    t5 = bound_t5(spec, f, Variant.CORRECTED)
+    t6a = bound_t6a(spec, f, f, Variant.CORRECTED)
+    t6b = bound_t6b(spec, f, f, Variant.CORRECTED)
+    assert (t5.lhs, t5.rhs) == (100.0, 250.0)
+    assert (t6b.lhs, t6b.rhs) == (10000.0, 62500.0)
+    assert t5.passes(1e-10) and t6a.passes(1e-10) and t6b.passes(1e-10)
 
 
 def test_t6b_vanishing_kernel_is_exact():
@@ -335,12 +373,34 @@ def test_kernel_weight_scaling_to_a_subnormal_weight_loses_its_bits():
 @settings(max_examples=60, deadline=None)
 def test_t5_sides_invariant_under_pow2_weight_scaling(arg, c):
     spec, f = arg
+    # exact only while every nonzero weight scales to a normal float, as in
+    # test_kernel_weight_scaling_exact_for_pow2
+    assume(all(w == 0.0 or c * w >= sys.float_info.min
+               for w in (spec.alpha, spec.beta)))
     scaled = KernelSpec(ts=spec.ts, a=spec.a, b=spec.b, x=spec.x,
                         alpha=c * spec.alpha, beta=c * spec.beta, h=spec.h)
     r1 = bound_t5(spec, f, Variant.CORRECTED)
     r2 = bound_t5(scaled, f, Variant.CORRECTED)
     assert r1.lhs == r2.lhs
     assert r1.rhs == r2.rhs
+
+
+def test_t5_sides_under_scaling_to_a_subnormal_weight_lose_its_bits():
+    # an example hypothesis found: c * beta falls below the normal range, so
+    # the corrected T5 lhs of the scaled spec drifts by the bits it lost
+    pts = (-2.0, -1.0, 0.0, 2.0)
+    h = f = Sampled({t: 1.0 if t == 2.0 else 0.0 for t in pts})
+    beta, c = 1.1125369292536007e-308, 0.25
+    spec = KernelSpec(ts=FiniteGrid(pts), a=-2.0, b=2.0, x=-1.0, alpha=1.0, beta=beta, h=h)
+    scaled = KernelSpec(ts=FiniteGrid(pts), a=-2.0, b=2.0, x=-1.0,
+                        alpha=c, beta=c * beta, h=h)
+    assert 0.0 < c * beta < sys.float_info.min
+    lost_bits = math.ceil(math.log2(sys.float_info.min / (c * beta)))
+    want = bound_t5(spec, f, Variant.CORRECTED)
+    got = bound_t5(scaled, f, Variant.CORRECTED)
+    assert got.lhs != want.lhs
+    assert abs(got.lhs - want.lhs) <= abs(want.lhs) * 2.0 ** (lost_bits - 52)
+    assert got.rhs == want.rhs
 
 
 @given(random_spec_and_funcs(), POW2)

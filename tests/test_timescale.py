@@ -159,6 +159,30 @@ def test_real_interval_dense():
         ts.all_points()
 
 
+# ------------------------------------------------------------------- windows
+
+@pytest.mark.parametrize("ts, a, b, steps", [
+    (FiniteGrid((-1.0, 0.5, 2.0, 3.0)), -1.0, 3.0, [-1.0, 0.5, 2.0]),
+    (IntegerInterval(-2, 5), 0.0, 3.0, [0.0, 1.0, 2.0]),
+    (QLattice(2.0, -1, 4), 0.5, 8.0, [0.5, 1.0, 2.0, 4.0]),
+])
+def test_discrete_window_is_its_grid_points_without_a_dense_piece(ts, a, b, steps):
+    assert ts.pieces(a, b) == (steps, ())
+    assert ts.pieces(a, b) == (ts.grid_points(a, b), ())
+    with pytest.raises(EmptyRange):
+        ts.pieces(b, a)
+
+
+def test_real_window_is_one_dense_piece_without_a_step():
+    ts = RealInterval(-1.0, 2.5)
+    assert ts.pieces(-1.0, 2.5) == ([], ((-1.0, 2.5),))
+    assert ts.pieces(0, 1) == ([], ((0.0, 1.0),))
+    with pytest.raises(EmptyRange):
+        ts.pieces(1.0, 1.0)
+    with pytest.raises(NotInScale):
+        ts.pieces(0.0, 3.0)
+
+
 def test_real_interval_validation():
     with pytest.raises(ConfigError):
         RealInterval(1.0, 1.0)
