@@ -81,8 +81,9 @@ def poly_definite(coeffs: tuple[float, ...], lo: float, hi: float) -> float:
 # Each function object also carries ``_delta_memo``: per window (scale, a, b)
 # the step table (mu, f^Delta, f, dense) of ``_step_table``, which every
 # delta integral and f^Delta envelope reads, and per window with a dense
-# piece the f' candidate list of the derivative envelopes in ostrowski.  It
-# is not a dataclass field, so ==, hash, repr and the JSON form ignore it,
+# piece the f' candidate list of the derivative envelopes in ostrowski, and
+# per KernelSpec the kernel sums of f that ostrowski keeps there.  It is not
+# a dataclass field, so ==, hash, repr and the JSON form ignore it,
 # dataclasses.replace starts an empty one, and it lives and dies with its
 # function.
 
@@ -181,6 +182,27 @@ def _step_table(ts: TimeScale, f: Func, a: float, b: float
         fds = [(fnxt - ft) / mu for ft, fnxt, mu in zip(vals, vals[1:], mus)]
         table = f._delta_memo[(ts, a, b)] = (mus, fds, vals, dense)
     return table
+
+
+def _with_sample(ts: TimeScale, f: Sampled, a: float, b: float, i: int, t: float,
+                 value: float) -> Sampled:
+    """f with its sample at t, point i of the window [a, b] (step i, or b
+    when i is the number of steps), set to value.  The new function's step
+    table for the window is f's with f entry i replaced and f^Delta of steps
+    i - 1 and i recomputed by the expression of _step_table, so it is
+    bit-equal to a fresh table; mu and the dense pieces are f's own lists.
+    It enumerates no grid, so a search that moves one sample at a time
+    tabulates its window once."""
+    mus, fds, vals, dense = _step_table(ts, f, a, b)
+    moved = Sampled(table=f.table | {t: value})
+    vals = vals.copy()
+    vals[i] = moved.table[t]
+    fds = fds.copy()
+    for j in (i - 1, i):
+        if 0 <= j < len(mus):
+            fds[j] = (vals[j + 1] - vals[j]) / mus[j]
+    moved._delta_memo[(ts, a, b)] = (mus, fds, vals, dense)
+    return moved
 
 
 def delta_derivative(ts: TimeScale, f: Func, t: float) -> float:

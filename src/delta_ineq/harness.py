@@ -19,6 +19,7 @@ from .calculus import (
     Sampled,
     _product_delta,
     _step_table,
+    _with_sample,
     func_from_json,
     func_to_json,
     parts_residual,
@@ -709,7 +710,10 @@ def sharpness_search(theorem: str, spec: KernelSpec, config: TrialConfig) -> Sha
     sample at a time by +/-step (both signs scored), halving the step after
     any full sweep without improvement, down to a floor of 1e-6.  The
     evaluation budget is config.n_trials; the initial draw is free.
-    Deterministic given config.seed.
+    Deterministic given config.seed.  Each candidate takes its step table
+    from the function it perturbs (``_with_sample``), so the window is
+    tabulated once per search, and the sums of the function it leaves
+    alone are kept per spec in that function's memo.
     """
     if theorem not in THEOREMS:
         raise UnsupportedTheorem(f"unknown theorem id {theorem!r}")
@@ -729,22 +733,25 @@ def sharpness_search(theorem: str, spec: KernelSpec, config: TrialConfig) -> Sha
     best = score(f, g)
     max_seen = best
     trace = [best]
-    coords = [("f", t) for t in pts] + ([("g", t) for t in pts] if g is not None else [])
+    coords = [("f", i, t) for i, t in enumerate(pts)]
+    if g is not None:
+        coords += [("g", i, t) for i, t in enumerate(pts)]
     budget = config.n_trials
     evals = 0
     step = 0.25 * r
     while evals < budget and step >= STEP_FLOOR:
         improved = False
-        for which, t in coords:
+        for which, i, t in coords:
             for sign in (1.0, -1.0):
                 if evals >= budget:
                     break
+                cand_f, cand_g = f, g
                 if which == "f":
-                    cand_f = Sampled(table=f.table | {t: f.table[t] + sign * step})
-                    cand_g = g
+                    cand_f = _with_sample(spec.ts, f, spec.a, spec.b, i, t,
+                                          f.table[t] + sign * step)
                 else:
-                    cand_f = f
-                    cand_g = Sampled(table=g.table | {t: g.table[t] + sign * step})
+                    cand_g = _with_sample(spec.ts, g, spec.a, spec.b, i, t,
+                                          g.table[t] + sign * step)
                 ratio = score(cand_f, cand_g)
                 evals += 1
                 if ratio > max_seen:

@@ -22,6 +22,7 @@ never as engine failures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -305,6 +306,28 @@ def kernel_moments(spec: KernelSpec) -> Moments:
 # Montgomery identity
 
 
+def _kept_per_spec(compute):
+    """Keep compute(spec, f) in f's ``_delta_memo``, once per KernelSpec.
+
+    The entry lives on f, so a spec shared by many functions (the fixed
+    kernel of a sharpness search) keeps none of them alive.  It is keyed by
+    (id(spec), name) and holds the spec, which it tests with ``is``: it
+    answers for that spec object only, and while it holds the spec no other
+    object can take its id."""
+    name = compute.__name__
+
+    @functools.wraps(compute)
+    def kept(spec: KernelSpec, f: Func) -> float:
+        key = (id(spec), name)
+        entry = f._delta_memo.get(key)
+        if entry is None or entry[0] is not spec:
+            entry = f._delta_memo[key] = (spec, compute(spec, f))
+        return entry[1]
+
+    return kept
+
+
+@_kept_per_spec
 def montgomery_lhs(spec: KernelSpec, f: Func) -> float:
     """Delta integral of P(x, t) * f^Delta(t) over [a, b)."""
     mus, ps, _, _, dense = spec._grid
@@ -335,6 +358,7 @@ def _sigma_mean_integral(spec: KernelSpec, f: Func, lo: float, hi: float) -> flo
     return total
 
 
+@_kept_per_spec
 def _mean_side(spec: KernelSpec, f: Func) -> float:
     """S(f) = alpha/(x-a) * int_a^x h^Delta f(sigma)
             + beta/(b-x) * int_x^b h^Delta f(sigma)."""
@@ -402,6 +426,7 @@ def delta_derivative_range(ts: TimeScale, f: Func, a: float, b: float) -> tuple[
     return min(vals), max(vals)
 
 
+@_kept_per_spec
 def _kernel_sup(spec: KernelSpec, f: Func) -> float:
     """M of the kernel bounds T5, T6a and T6b: sup |f^Delta| over (a, b),
     and over [a, b) when x == a, where P(a) = -beta/w (h(b) - h(a))/(b - a)
@@ -637,6 +662,10 @@ def _korkine_defects(mus: list[float], ps: list[float], fds: list[float],
     multiplies it by (F_i - F_j) and by (P_i - P_j).  The sums are plain
     left-to-right loops: from Python 3.12 on, sum() over floats
     compensates, which would make the output depend on the version.
+
+    Both routes read the same mu, P and f^Delta lists, and Korkine's
+    identity holds for any numbers, so a defect can show only round-off,
+    never a wrong step table or kernel.
     """
     m_pf = m_p = m_f = m_pp = 0.0
     for m, p, fd in zip(mus, ps, fds):
@@ -663,7 +692,9 @@ def _korkine_defects(mus: list[float], ps: list[float], fds: list[float],
 
 def korkine_residuals(spec: KernelSpec, f: Func) -> tuple[float, float]:
     """(korkine_residual(spec, f), kernel_variance_residual(spec)) from one
-    pass over the pairs; each ~0 always."""
+    pass over the pairs; each ~0 always.  Both routes of each check read the
+    same step tables, so the checks detect round-off only, not a wrong
+    table (see _korkine_defects)."""
     mus, ps = _mu_and_kernel(spec)
     fds = _step_table(spec.ts, f, spec.a, spec.b)[1]
     return _korkine_defects(mus, ps, fds, spec.b - spec.a)

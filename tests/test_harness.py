@@ -1,5 +1,7 @@
 """Deterministic RNG, trial draws, suite runners, sharpness, replay."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,13 +16,18 @@ from delta_ineq import (
     QLattice,
     RealInterval,
     Sampled,
+    SharpnessResult,
     SplitMix64,
     TrialConfig,
     UnsupportedTheorem,
+    Variant,
     config_from_json,
     config_to_json,
+    func_to_json,
     gen_random_func,
     gen_random_scale,
+    kernel_spec_from_json,
+    kernel_spec_to_json,
     replay_witness,
     run_bound_suite,
     run_crosscheck_suite,
@@ -28,6 +35,9 @@ from delta_ineq import (
     sharpness_search,
     trial_rng,
 )
+from delta_ineq.harness import STEP_FLOOR
+from delta_ineq.ostrowski import BOUNDS
+from delta_ineq.timescale import _ScaleBase
 
 IDENT = Polynomial((0.0, 1.0))
 Z08_SPEC = KernelSpec(ts=IntegerInterval(0, 8), a=0.0, b=8.0, x=4.0,
@@ -286,6 +296,99 @@ def test_sharpness_result_round_trips_witness():
     assert d["theorem"] == "T5"
     assert d["best_ratio"] == res.best_ratio
     assert len(d["trace"]) == len(res.trace)
+
+
+def _reference_search(theorem, spec, config):
+    """The coordinate ascent of sharpness_search, with every candidate a
+    fresh Sampled and every evaluation on fresh copies of the spec, f and g,
+    so no step table or kernel sum carries over between evaluations."""
+    rng = trial_rng(config.seed, 0)
+    pts = spec.ts.grid_points(spec.a, spec.b) + [spec.b]
+    r = config.func_family.value_range
+    f = Sampled({t: rng.uniform(-r, r) for t in pts})
+    g = Sampled({t: rng.uniform(-r, r) for t in pts}) if theorem in ("T6a", "T6b") else None
+
+    def score(ff, gg):
+        rep = BOUNDS[theorem](kernel_spec_from_json(kernel_spec_to_json(spec)),
+                              Sampled(dict(ff.table)),
+                              None if gg is None else Sampled(dict(gg.table)),
+                              Variant.CORRECTED, None, None)
+        if rep.rhs > 0.0:
+            return rep.lhs / rep.rhs
+        return 0.0 if rep.lhs <= config.tolerance else float("inf")
+
+    best = max_seen = score(f, g)
+    trace = [best]
+    coords = [("f", t) for t in pts] + ([("g", t) for t in pts] if g is not None else [])
+    evals, step = 0, 0.25 * r
+    while evals < config.n_trials and step >= STEP_FLOOR:
+        improved = False
+        for which, t in coords:
+            for sign in (1.0, -1.0):
+                if evals >= config.n_trials:
+                    break
+                cand_f, cand_g = f, g
+                if which == "f":
+                    cand_f = Sampled(f.table | {t: f.table[t] + sign * step})
+                else:
+                    cand_g = Sampled(g.table | {t: g.table[t] + sign * step})
+                ratio = score(cand_f, cand_g)
+                evals += 1
+                max_seen = max(max_seen, ratio)
+                if ratio > best:
+                    best, f, g = ratio, cand_f, cand_g
+                    trace.append(ratio)
+                    improved = True
+            if evals >= config.n_trials:
+                break
+        if not improved:
+            step *= 0.5
+    return SharpnessResult(
+        theorem=theorem, best_ratio=best, max_ratio_seen=max_seen, iterations=evals,
+        final_step=step, violation=max_seen > 1.0 + config.tolerance,
+        witness_f=func_to_json(f), witness_g=func_to_json(g) if g is not None else None,
+        spec=kernel_spec_to_json(spec), trace=tuple(trace))
+
+
+SEARCH_SPECS = {
+    "integer": KernelSpec(ts=IntegerInterval(0, 20), a=0.0, b=20.0, x=9.0,
+                          alpha=1.0, beta=2.0, h=IDENT),
+    "grid-inner": KernelSpec(ts=FiniteGrid((-3.0, -2.5, -1.0, 0.25, 0.5, 2.0, 3.5, 4.0)),
+                             a=-2.5, b=3.5, x=0.25, alpha=0.5, beta=1.5,
+                             h=Sampled({t: 0.5 * t * t for t in (-3.0, -2.5, -1.0, 0.25,
+                                                                  0.5, 2.0, 3.5, 4.0)})),
+}
+
+
+@pytest.mark.parametrize("theorem", ["T5", "T6a", "T6b", "T8"])
+@pytest.mark.parametrize("case", sorted(SEARCH_SPECS))
+def test_sharpness_search_is_bit_equal_to_fresh_candidates(theorem, case):
+    spec = SEARCH_SPECS[case]
+    config = TrialConfig(seed=3, n_trials=300)
+    got = sharpness_search(theorem, spec, config)
+    want = _reference_search(theorem, spec, config)
+    assert got.iterations == 300
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+def test_sharpness_search_enumerates_its_window_a_fixed_number_of_times(monkeypatch):
+    calls = []
+    enumerate_points = _ScaleBase.grid_points
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return enumerate_points(self, a, b)
+
+    monkeypatch.setattr(_ScaleBase, "grid_points", counted)
+    counts = []
+    for budget in (100, 1000):
+        calls.clear()
+        spec = kernel_spec_from_json(kernel_spec_to_json(Z08_SPEC))    # a cold kernel
+        res = sharpness_search("T6b", spec, TrialConfig(seed=0, n_trials=budget))
+        assert res.iterations == budget
+        counts.append(len(calls))
+    # the window, h's table, and the tables of the initial f and g
+    assert counts == [4, 4]
 
 
 # ------------------------------------------------------------------- replay

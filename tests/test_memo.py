@@ -4,10 +4,11 @@ tables and f^Delta candidate lists a function keeps.
 A warm object must answer bit for bit as a fresh copy rebuilt from JSON,
 and as reference loops that enumerate the grid on every call; the memo must
 stay invisible: not in ==, hash, repr or JSON, not carried over by
-dataclasses.replace, and never answering for another window.
+dataclasses.replace, and never answering for another window or another spec.
 """
 
 import dataclasses
+import gc
 import math
 
 import pytest
@@ -43,8 +44,9 @@ from delta_ineq import (
     reduction_weighted_ostrowski,
     sup_abs_delta_derivative,
 )
-from delta_ineq.calculus import _step_table
+from delta_ineq.calculus import _step_table, _with_sample
 from delta_ineq.harness import _int_f_gdelta
+from delta_ineq.ostrowski import _kernel_sup
 
 CUBIC = Polynomial((0.5, -1.25, 0.75, 0.3))
 QUADRATIC = Polynomial((1.0, 0.5, -2.0))
@@ -544,7 +546,9 @@ def test_function_keeps_one_step_table_per_scale_and_window():
         assert _bits(montgomery_lhs(spec, f)) == _bits(_ref_lhs(spec, f))
         assert _bits(montgomery_rhs(spec, f)) == _bits(_ref_rhs(spec, f))
         assert _bits(korkine_residual(spec, f)) == _bits(_ref_korkine(spec, f))
-    assert set(f._delta_memo) == {(ints, 0.0, 6.0), (evens, 0.0, 6.0), (ints, 1.0, 4.0)}
+    # step tables are keyed (scale, a, b), the per-spec kernel sums (id(spec), name)
+    step_tables = {key for key in f._delta_memo if len(key) == 3}
+    assert step_tables == {(ints, 0.0, 6.0), (evens, 0.0, 6.0), (ints, 1.0, 4.0)}
     assert f._delta_memo[(evens, 0.0, 6.0)][1] == [1.5, 3.5, -15.0]
     assert f._delta_memo[(ints, 1.0, 4.0)][1] == [2.0, 3.0, 4.0]
     assert montgomery_lhs(on_ints, f) != montgomery_lhs(on_evens, f)
@@ -612,3 +616,90 @@ def test_kernel_grid_leaves_the_step_table_of_h(case):
     assert list(spec.h._delta_memo) == [(spec.ts, spec.a, spec.b)]
     points = [t for t, _ in _ref_steps(spec.ts, spec.a, spec.b)] + [spec.b]
     assert _bits(tuple(table[2])) == _bits(tuple(feval(spec.h, t) for t in points))
+
+
+# ---------------------------------------------------------------------------
+# a function keeps its kernel sums once per spec
+
+
+def test_per_spec_sums_never_answer_for_another_spec():
+    ts = IntegerInterval(0, 7)
+    f = Sampled(dict(zip(ts.all_points(), (9.0, -1.0, 2.5, 0.5, -3.0, 4.0, 1.0, -2.0))))
+    line, table = Polynomial((0.0, 1.0)), _table(ts, 0.5)
+
+    def make(x, h, alpha=1.0):
+        return KernelSpec(ts=ts, a=0, b=7, x=x, alpha=alpha, beta=1.5, h=h)
+
+    def answers(spec):
+        got = (montgomery_lhs(spec, f), montgomery_rhs(spec, f), _kernel_sup(spec, f))
+        assert _bits(got) == _bits((_ref_lhs(spec, f), _ref_rhs(spec, f), _ref_sup(spec, f)))
+        return got
+
+    # pairs on one window that differ only in x, or only in h; the last
+    # pair differs in x = a, where M takes f^Delta(a) in
+    specs = [make(2, line), make(5, line), make(2, table),
+             make(0, line, alpha=0.0), make(3, line, alpha=0.0)]
+    cold = [answers(spec) for spec in specs]
+    for spec in reversed(specs):         # interleaved, warm
+        answers(spec)
+    # each pair differs in the sums its specs can tell apart, so a shared
+    # entry would show: M depends on the spec only through x == a
+    for u, v in ((0, 1), (0, 2), (3, 4)):
+        assert cold[u][0] != cold[v][0] and cold[u][1] != cold[v][1]
+    assert cold[3][2] != cold[4][2]
+    assert sum(len(key) == 2 for key in f._delta_memo) == 3 * len(specs)
+
+    # a spec dropped and then recreated, equal or with another x
+    dropped = make(4, table)
+    first = answers(dropped)
+    del dropped
+    gc.collect()
+    assert _bits(answers(make(4, table))) == _bits(first)
+    answers(make(6, table))
+
+    # an entry under another spec's id is not read for this one
+    stale, fresh = make(1, line), make(1, table)
+    answers(stale)
+    f._delta_memo[(id(fresh), "montgomery_lhs")] = (stale, 1e300)
+    assert montgomery_lhs(fresh, f) == _ref_lhs(fresh, f) != 1e300
+
+
+# ---------------------------------------------------------------------------
+# a moved sample's step table, derived from its parent's
+
+
+WINDOWS = {
+    "integer": (IntegerInterval(-3, 5), -3.0, 5.0),
+    "integer-inner": (IntegerInterval(-3, 5), -1.0, 3.0),
+    "grid": (FiniteGrid((-2.0, -1.75, 0.5, 1.25, 4.0, 4.5, 6.0)), -2.0, 6.0),
+    "grid-inner": (FiniteGrid((-2.0, -1.75, 0.5, 1.25, 4.0, 4.5, 6.0)), -1.75, 4.5),
+    "qlattice": (QLattice(1.25, -3, 6), 1.25 ** -3, 1.25 ** 6),
+    "qlattice-inner": (QLattice(1.25, -3, 6), 1.25 ** -1, 1.25 ** 4),
+}
+
+
+def _columns(table):
+    """(mu, f^Delta, f, dense) with the lists as tuples, for _bits."""
+    return tuple(tuple(col) for col in table)
+
+
+@pytest.mark.parametrize("case", sorted(WINDOWS))
+def test_moved_sample_table_is_bit_equal_to_a_fresh_one(case):
+    ts, a, b = WINDOWS[case]
+    f = _table(ts, 0.75)
+    parent = _columns(_step_table(ts, f, a, b))
+    points = [t for t, _ in _ref_steps(ts, a, b)] + [b]
+    n = len(points) - 1                 # steps
+    for i, t in enumerate(points):
+        for delta in (0.375, -1.5):
+            value = f.table[t] + delta
+            moved = _with_sample(ts, f, a, b, i, t, value)
+            rebuilt = Sampled(f.table | {t: value})
+            assert moved == rebuilt and list(moved._delta_memo) == [(ts, a, b)]
+            derived = _columns(moved._delta_memo[(ts, a, b)])
+            assert _bits(derived) == _bits(_columns(_step_table(ts, rebuilt, a, b)))
+            # f^Delta moves only on the steps either side of point i: at a
+            # the first, at b the last
+            changed = [j for j in range(n) if derived[1][j] != parent[1][j]]
+            assert changed == [j for j in (i - 1, i) if 0 <= j < n]
+    assert _bits(_columns(_step_table(ts, f, a, b))) == _bits(parent)

@@ -50,7 +50,13 @@ from delta_ineq import (
     sup_abs_delta_derivative,
 )
 from delta_ineq.calculus import poly_definite
-from delta_ineq.ostrowski import ROOT_SCAN_CELLS, _abs_definite, _mean_side, _roots_in
+from delta_ineq.ostrowski import (
+    ROOT_SCAN_CELLS,
+    _abs_definite,
+    _kernel_sup,
+    _mean_side,
+    _roots_in,
+)
 
 T_SQUARED = Polynomial((0.0, 0.0, 1.0))
 IDENT = Polynomial((0.0, 1.0))
@@ -294,6 +300,50 @@ def test_endpoint_anchor_takes_the_step_at_a_into_m():
     assert (t5.lhs, t5.rhs) == (100.0, 250.0)
     assert (t6b.lhs, t6b.rhs) == (10000.0, 62500.0)
     assert t5.passes(1e-10) and t6a.passes(1e-10) and t6b.passes(1e-10)
+
+
+@st.composite
+def anchored_spec_and_funcs(draw):
+    """x = a with alpha = 0 on a grid, integer or q-lattice scale, with
+    sampled h, f and g.  Drawn here, not by the suites' _draw_x, which keeps
+    x interior, so that the suite reports stay as they are."""
+    n = draw(st.integers(3, 10))
+    kind = draw(st.sampled_from(("grid", "integer", "qlattice")))
+    if kind == "grid":
+        pts = draw(st.lists(st.floats(-10, 10, allow_nan=False), min_size=n,
+                            max_size=n, unique=True))
+        pts = tuple(sorted(pts))
+        assume(min(q - p for p, q in zip(pts, pts[1:])) >= 1e-6)
+        ts = FiniteGrid(pts)
+    elif kind == "integer":
+        lo = draw(st.integers(-20, 20))
+        ts = IntegerInterval(lo, lo + n - 1)
+    else:
+        kmin = draw(st.integers(-4, 4))
+        ts = QLattice(draw(st.floats(1.01, 3.0)), kmin, kmin + n - 1)
+    pts = ts.all_points()
+
+    def sampled():
+        return Sampled(dict(zip(pts, draw(st.lists(st.floats(-8, 8, allow_nan=False),
+                                                   min_size=n, max_size=n)))))
+
+    spec = KernelSpec(ts=ts, a=pts[0], b=pts[-1], x=pts[0], alpha=0.0,
+                      beta=draw(st.floats(1e-3, 5.0)), h=sampled())
+    return spec, sampled(), sampled()
+
+
+@given(anchored_spec_and_funcs())
+@settings(max_examples=100, deadline=None)
+def test_corrected_bounds_hold_with_x_at_a(arg):
+    # P(a) = -beta/w (h(b) - h(a))/(b - a) need not vanish, so M is the
+    # sup of |f^Delta| over [a, b), the step at a included
+    spec, f, g = arg
+    for rep in (bound_t5(spec, f), bound_t6a(spec, f, g), bound_t6b(spec, f, g)):
+        assert rep.passes(1e-10), rep
+    pts = spec.ts.all_points()
+    for fn in (f, g):
+        steps = [abs((feval(fn, s) - feval(fn, t)) / (s - t)) for t, s in zip(pts, pts[1:])]
+        assert _kernel_sup(spec, fn) == max(steps)
 
 
 def test_t6b_vanishing_kernel_is_exact():
