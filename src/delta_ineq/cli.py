@@ -3,8 +3,8 @@
 Subcommands: verify-identity, verify-bounds, crosscheck, sharpness, eval.
 Exit codes: 0 all pass (paper-literal findings allowed and listed), 2 on a
 corrected-variant or identity failure, 1 on usage or configuration errors.
-Output goes to --out or standard out, as JSON (default) or the versioned
-CSV of bound rows.
+Output goes to --out or standard out, as JSON (default) or, for
+verify-bounds and eval, the versioned CSV of bound rows.
 """
 
 from __future__ import annotations
@@ -59,15 +59,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}error: {message}")
 
 
-def _add_common(sub: argparse.ArgumentParser, variant_flag: bool) -> None:
+def _add_common(sub: argparse.ArgumentParser, bound_rows: bool) -> None:
+    """The flags of every subcommand; --format and --variant only where
+    bound rows exist (verify-bounds, eval)."""
     sub.add_argument("--config", metavar="PATH", help="JSON configuration file")
     sub.add_argument("--seed", type=int, help="override the RNG seed")
     sub.add_argument("--trials", type=int, help="override the trial count")
     sub.add_argument("--tol", type=float, help="override the relative tolerance")
     sub.add_argument("--scale", metavar="JSON", help="inline scale JSON overriding the draw")
     sub.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    if variant_flag:
+    if bound_rows:
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
         sub.add_argument("--variant", choices=("literal", "corrected", "both"),
                          default="both")
 
@@ -77,17 +79,16 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Verification suites for weighted Ostrowski-type "
                                  "inequalities on time scales.")
     subs = parser.add_subparsers(dest="command", required=True)
-    _add_common(subs.add_parser("verify-identity", parents=[], help="exact-identity suite"),
-                variant_flag=False)
+    _add_common(subs.add_parser("verify-identity", help="exact-identity suite"),
+                bound_rows=False)
     _add_common(subs.add_parser("verify-bounds", help="theorem bound suite"),
-                variant_flag=True)
+                bound_rows=True)
     _add_common(subs.add_parser("crosscheck", help="family closed-form cross-check"),
-                variant_flag=False)
+                bound_rows=False)
     sharp = subs.add_parser("sharpness", help="bound tightness search")
-    _add_common(sharp, variant_flag=False)
+    _add_common(sharp, bound_rows=False)
     sharp.add_argument("--theorem", help="theorem id to probe (default T5)")
-    ev = subs.add_parser("eval", help="evaluate one kernel instance")
-    _add_common(ev, variant_flag=True)
+    _add_common(subs.add_parser("eval", help="evaluate one kernel instance"), bound_rows=True)
     return parser
 
 
@@ -153,14 +154,11 @@ def _write(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _run_suite(ns: argparse.Namespace, runner, has_rows: bool = False) -> int:
+def _run_suite(ns: argparse.Namespace, runner) -> int:
     config = _trial_config(ns, _load_config_file(ns.config))
     if ns.scale is not None:
         config = dataclasses.replace(config, fixed_scale=_scale_override(ns))
-    if ns.format == "csv":
-        if not has_rows:
-            raise ConfigError("--format csv needs bound rows; "
-                              "use it with verify-bounds or eval")
+    if getattr(ns, "format", "json") == "csv":     # verify-bounds only
         report = runner(config, keep_rows=True)
         _write(rows_to_csv(report.rows), ns.out)
     else:
@@ -179,9 +177,6 @@ def _run_sharpness(ns: argparse.Namespace) -> int:
     if isinstance(config_obj, dict) and "trials" not in config_obj:
         config_obj = config_obj | {"trials": 5000}      # the default evaluation budget
     config = _trial_config(ns, config_obj)
-    if ns.format == "csv":
-        raise ConfigError("--format csv needs bound rows; "
-                          "use it with verify-bounds or eval")
     result = sharpness_search(theorem, spec, config)
     _write(json_dumps(result.to_json()), ns.out)
     return 2 if result.violation else 0
@@ -244,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
         if ns.command == "verify-identity":
             return _run_suite(ns, run_identity_suite)
         if ns.command == "verify-bounds":
-            return _run_suite(ns, run_bound_suite, has_rows=True)
+            return _run_suite(ns, run_bound_suite)
         if ns.command == "crosscheck":
             return _run_suite(ns, run_crosscheck_suite)
         if ns.command == "sharpness":

@@ -325,7 +325,8 @@ class SuiteReport:
     ``checks`` maps a check label to its aggregate; ``findings`` hold
     paper-literal violations (expected), ``failures`` everything that
     breaks the engine's guarantees.  ``rows`` carry the per-evaluation
-    bound records used for CSV output (bound suites asked to keep them).
+    bound records used for CSV output (bound suites asked to keep them);
+    the JSON form leaves them out.
     """
 
     suite: str
@@ -342,7 +343,7 @@ class SuiteReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_json(self, include_wall_time: bool = True, include_rows: bool = False) -> dict:
+    def to_json(self, include_wall_time: bool = True) -> dict:
         out = {
             "suite": self.suite,
             "seed": self.seed,
@@ -353,8 +354,6 @@ class SuiteReport:
             "findings": self.findings,
             "failures": self.failures,
         }
-        if include_rows:
-            out["rows"] = self.rows
         if include_wall_time:
             out["wall_time_s"] = self.wall_time_s
         return out
@@ -415,9 +414,42 @@ class _BoundAgg:
         }
 
 
-def _require_trials(config: TrialConfig) -> None:
-    if config.n_trials < 1:
-        raise ConfigError("suite runs need n_trials >= 1")
+class _Recorder:
+    """What every suite run shares: the n_trials >= 1 check, the clock, the
+    check aggregates in report order, the findings and failures, the CSV
+    rows, and the one SuiteReport built from them.  A suite keeps only its
+    per-trial work."""
+
+    def __init__(self, suite: str, config: TrialConfig, aggs: dict) -> None:
+        if config.n_trials < 1:
+            raise ConfigError("suite runs need n_trials >= 1")
+        self.suite = suite
+        self.config = config
+        self.aggs = aggs
+        self.findings: list[dict] = []
+        self.failures: list[dict] = []
+        self.rows: list[dict] = []
+        self.t0 = time.perf_counter()
+
+    def check(self, label: str, witness, *measure, finding: bool = False) -> None:
+        """Add measure to label's aggregate.  If the check fails, record
+        witness() among the findings (finding) or the failures; the witness
+        is built only then."""
+        if not self.aggs[label].add(*measure, self.config.tolerance):
+            (self.findings if finding else self.failures).append(witness())
+
+    def report(self) -> SuiteReport:
+        return SuiteReport(
+            suite=self.suite,
+            seed=self.config.seed,
+            n_trials=self.config.n_trials,
+            tolerance=self.config.tolerance,
+            checks={label: agg.to_json() for label, agg in self.aggs.items()},
+            findings=self.findings,
+            failures=self.failures,
+            rows=self.rows,
+            wall_time_s=time.perf_counter() - self.t0,
+        )
 
 
 def _int_f_gdelta(spec: KernelSpec, f: Func, g: Func) -> float:
@@ -451,19 +483,15 @@ def run_identity_suite(config: TrialConfig) -> SuiteReport:
     """Exactness checks: Montgomery identity, integration by parts, the
     product rule, the Korkine rearrangement, the kernel-variance identity,
     the variance envelope, and family closed-form cross-checks."""
-    _require_trials(config)
-    t0 = time.perf_counter()
-    tol = config.tolerance
     labels = ("montgomery-identity", "integration-by-parts", "product-rule",
               "korkine", "kernel-variance", "variance-envelope", "crosscheck")
-    aggs = {name: _IdentityAgg() for name in labels}
-    failures: list[dict] = []
+    rec = _Recorder("identity", config, {name: _IdentityAgg() for name in labels})
 
     def check(label: str, residual: float, denom: float, **extra) -> None:
         """Record one check of the current trial i on (spec, f)."""
-        if not aggs[label].add(residual, denom, tol):
-            failures.append(_identity_witness(config.seed, i, label, spec, f,
-                                              residual, denom, **extra))
+        rec.check(label, lambda: _identity_witness(config.seed, i, label, spec, f,
+                                                   residual, denom, **extra),
+                  residual, denom)
 
     for i in range(config.n_trials):
         rng = trial_rng(config.seed, i)
@@ -494,30 +522,22 @@ def run_identity_suite(config: TrialConfig) -> SuiteReport:
         variance, bound = gruss_variance_check(ts, f, spec.a, spec.b)
         check("variance-envelope", max(0.0, variance - bound), max(1.0, bound))
 
-        family = _family_of(ts, f, spec.h)
+        family = _family_of(ts)
         if family is not None:
             closed = closed_form_rhs(spec, f, family)
             check("crosscheck", rhs - closed, max(1.0, abs(closed)), family=family)
 
-    return SuiteReport(
-        suite="identity",
-        seed=config.seed,
-        n_trials=config.n_trials,
-        tolerance=tol,
-        checks={name: agg.to_json() for name, agg in aggs.items()},
-        findings=[],
-        failures=failures,
-        rows=[],
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return rec.report()
 
 
-def _family_of(ts: TimeScale, f: Func, h: Func) -> str | None:
+def _family_of(ts: TimeScale) -> str | None:
+    """The closed-form family of a suite's scale.  On a real interval the
+    suites hold polynomial f and h only (TrialConfig, gen_random_func)."""
     if isinstance(ts, IntegerInterval):
         return "Z"
     if isinstance(ts, QLattice):
         return "Q"
-    if isinstance(ts, RealInterval) and isinstance(f, Polynomial) and isinstance(h, Polynomial):
+    if isinstance(ts, RealInterval):
         return "R"
     return None
 
@@ -566,14 +586,10 @@ def run_bound_suite(config: TrialConfig, keep_rows: bool = False) -> SuiteReport
     The per-evaluation rows, which only CSV output writes, are kept only
     with keep_rows.
     """
-    _require_trials(config)
-    t0 = time.perf_counter()
-    tol = config.tolerance
-    aggs: dict[str, _BoundAgg] = {}
-    chain = _IdentityAgg()
-    findings: list[dict] = []
-    failures: list[dict] = []
-    rows: list[dict] = []
+    keys = sorted(f"{name}/{v.value}" for v in config.variants for name in THEOREMS)
+    aggs: dict = {key: _BoundAgg() for key in keys}
+    aggs["t7-chain"] = _IdentityAgg()
+    rec = _Recorder("bounds", config, aggs)
 
     for i in range(config.n_trials):
         rng = trial_rng(config.seed, i)
@@ -581,48 +597,25 @@ def run_bound_suite(config: TrialConfig, keep_rows: bool = False) -> SuiteReport
         gamma, big_gamma = delta_derivative_range(spec.ts, f, spec.a, spec.b)
         once, reports = evaluate_bounds(spec, f, g, config.variants, gamma, big_gamma)
         t7_l2, t7_gruss = once["T7-L2"], once["T7-Gruss"]
-        chain_res = max(0.0, t7_l2.rhs - t7_gruss.rhs)
-        if not chain.add(chain_res, max(1.0, t7_gruss.rhs), tol):
-            failures.append(_bound_witness(config.seed, i, t7_l2, spec, f, None,
-                                           gamma, big_gamma) | {"check": "t7-chain"})
+        rec.check("t7-chain", lambda: _bound_witness(config.seed, i, t7_l2, spec, f, None,
+                                                     gamma, big_gamma) | {"check": "t7-chain"},
+                  max(0.0, t7_l2.rhs - t7_gruss.rhs), max(1.0, t7_gruss.rhs))
 
         for rep in reports:
-            key = f"{rep.theorem}/{rep.variant.value}"
-            agg = aggs.setdefault(key, _BoundAgg())
-            ok = agg.add(rep, tol)
             if keep_rows:
-                rows.append(bound_row(i, rep, spec, tol))
-            if not ok:
-                witness = _bound_witness(config.seed, i, rep, spec, f,
-                                         g if _needs_g(rep.theorem) else None,
-                                         gamma, big_gamma)
-                if rep.variant is Variant.CORRECTED:
-                    failures.append(witness)
-                else:
-                    findings.append(witness)
+                rec.rows.append(bound_row(i, rep, spec, config.tolerance))
+            rec.check(f"{rep.theorem}/{rep.variant.value}",
+                      lambda: _bound_witness(config.seed, i, rep, spec, f,
+                                             g if _needs_g(rep.theorem) else None,
+                                             gamma, big_gamma),
+                      rep, finding=rep.variant is not Variant.CORRECTED)
 
-    checks = {key: agg.to_json() for key, agg in sorted(aggs.items())}
-    checks["t7-chain"] = chain.to_json()
-    return SuiteReport(
-        suite="bounds",
-        seed=config.seed,
-        n_trials=config.n_trials,
-        tolerance=tol,
-        checks=checks,
-        findings=findings,
-        failures=failures,
-        rows=rows,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return rec.report()
 
 
 def run_crosscheck_suite(config: TrialConfig, families: tuple[str, ...] = ("Z", "Q", "R")) -> SuiteReport:
     """montgomery_rhs vs the family closed forms on family-matched draws."""
-    _require_trials(config)
-    t0 = time.perf_counter()
-    tol = config.tolerance
-    aggs = {fam: _IdentityAgg() for fam in families}
-    failures: list[dict] = []
+    rec = _Recorder("crosscheck", config, {fam: _IdentityAgg() for fam in families})
     family_scale = {"Z": ("integer",), "Q": ("qlattice",), "R": ("real",)}
 
     for fam in families:
@@ -641,31 +634,19 @@ def run_crosscheck_suite(config: TrialConfig, families: tuple[str, ...] = ("Z", 
             spec, f, _ = _draw_trial(rng, fam_config, with_g=False)
             generic = montgomery_rhs(spec, f)
             closed = closed_form_rhs(spec, f, fam)
-            denom = max(1.0, abs(closed))
-            if not aggs[fam].add(generic - closed, denom, tol):
-                failures.append({
-                    "kind": "crosscheck",
-                    "seed": config.seed,
-                    "trial": i,
-                    "family": fam,
-                    "spec": kernel_spec_to_json(spec),
-                    "f": func_to_json(f),
-                    "generic": generic,
-                    "closed": closed,
-                    "diff": generic - closed,
-                })
+            rec.check(fam, lambda: {
+                "kind": "crosscheck",
+                "seed": config.seed,
+                "trial": i,
+                "family": fam,
+                "spec": kernel_spec_to_json(spec),
+                "f": func_to_json(f),
+                "generic": generic,
+                "closed": closed,
+                "diff": generic - closed,
+            }, generic - closed, max(1.0, abs(closed)))
 
-    return SuiteReport(
-        suite="crosscheck",
-        seed=config.seed,
-        n_trials=config.n_trials,
-        tolerance=tol,
-        checks={fam: agg.to_json() for fam, agg in aggs.items()},
-        findings=[],
-        failures=failures,
-        rows=[],
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return rec.report()
 
 
 # ---------------------------------------------------------------------------

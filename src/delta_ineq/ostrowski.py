@@ -47,7 +47,6 @@ from .errors import (
     ConfigError,
     ConsistencyError,
     ContinuousScale,
-    EmptyRange,
     FamilyMismatch,
     InvalidBounds,
     NegativeVariance,
@@ -394,8 +393,6 @@ def _derivative_candidates(ts: TimeScale, f: Func, a: float, b: float,
     one list per window; callers must not mutate what they get."""
     a = ts.canon(a)
     b = ts.canon(b)
-    if not a < b:
-        raise EmptyRange(f"empty derivative range [{a}, {b})")
     _, fds, _, dense = _step_table(ts, f, a, b)
     steps = fds[1:] if open_interval else fds
     if not dense:
@@ -729,8 +726,6 @@ def gruss_variance_check(ts: TimeScale, f: Func, a: float, b: float,
     """
     a = ts.canon(a)
     b = ts.canon(b)
-    if not a < b:
-        raise EmptyRange(f"empty range [{a}, {b})")
     gamma, big_gamma = _check_bracket(ts, f, a, b, gamma, big_gamma)
     width = b - a
     drift = (feval(f, b) - feval(f, a)) / width
@@ -750,49 +745,44 @@ def closed_form_rhs(spec: KernelSpec, f: Func, family: str) -> float:
 
     family "Z": forward differences on an integer interval; "Q": Jackson
     q-integrals on a q-lattice; "R": ordinary integrals of h' f for
-    polynomials on a real interval.  Independent of the generic delta
-    engine, for cross-checking.
+    polynomials on a real interval.  A family supplies only its integral of
+    h^Delta f(sigma) over [lo, hi); the bracket B (from h, not the spec's
+    cached one), S(f) and f(x) B/w - S(f)/w are formed here once.
+    Independent of the generic delta engine, for cross-checking.
     """
-    if family == "Z":
-        return _closed_form_z(spec, f)
-    if family == "Q":
-        return _closed_form_q(spec, f)
-    if family == "R":
-        return _closed_form_r(spec, f)
-    raise ConfigError(f"unknown family {family!r} (expected 'Z', 'Q', or 'R')")
-
-
-def _closed_form_z(spec: KernelSpec, f: Func) -> float:
-    if not isinstance(spec.ts, IntegerInterval):
-        raise FamilyMismatch("family 'Z' needs an integer interval scale")
-    a, b, x = int(spec.a), int(spec.b), int(spec.x)
+    if family not in _FAMILY_INTEGRALS:
+        raise ConfigError(f"unknown family {family!r} (expected 'Z', 'Q', or 'R')")
+    integral = _FAMILY_INTEGRALS[family](spec, f)
+    h, a, b, x = spec.h, spec.a, spec.b, spec.x
     w = spec.alpha + spec.beta
-
-    def h(t: int) -> float:
-        return feval(spec.h, float(t))
-
-    def fv(t: int) -> float:
-        return feval(f, float(t))
-
-    def sigma_sum(lo: int, hi: int) -> float:
-        # a plain loop, not sum(): see _korkine_defects
-        total = 0.0
-        for t in range(lo, hi):
-            total += fv(t + 1) * (h(t + 1) - h(t))
-        return total
-
     bracket = 0.0
     mean = 0.0
     if spec.alpha > 0.0:
-        bracket += spec.alpha * (h(x) - h(a)) / (x - a)
-        mean += spec.alpha / (x - a) * sigma_sum(a, x)
+        bracket += spec.alpha * (feval(h, x) - feval(h, a)) / (x - a)
+        mean += spec.alpha / (x - a) * integral(a, x)
     if spec.beta > 0.0:
-        bracket += spec.beta * (h(b) - h(x)) / (b - x)
-        mean += spec.beta / (b - x) * sigma_sum(x, b)
-    return fv(x) * bracket / w - mean / w
+        bracket += spec.beta * (feval(h, b) - feval(h, x)) / (b - x)
+        mean += spec.beta / (b - x) * integral(x, b)
+    return feval(f, x) * bracket / w - mean / w
 
 
-def _closed_form_q(spec: KernelSpec, f: Func) -> float:
+def _z_integral(spec: KernelSpec, f: Func):
+    if not isinstance(spec.ts, IntegerInterval):
+        raise FamilyMismatch("family 'Z' needs an integer interval scale")
+
+    h = spec.h
+
+    def sigma_sum(lo: float, hi: float) -> float:
+        # a plain loop, not sum(): see _korkine_defects
+        total = 0.0
+        for t in range(int(lo), int(hi)):
+            total += feval(f, t + 1.0) * (feval(h, t + 1.0) - feval(h, float(t)))
+        return total
+
+    return sigma_sum
+
+
+def _q_integral(spec: KernelSpec, f: Func):
     ts = spec.ts
     if not isinstance(ts, QLattice):
         raise FamilyMismatch("family 'Q' needs a q-lattice scale")
@@ -800,45 +790,29 @@ def _closed_form_q(spec: KernelSpec, f: Func) -> float:
 
     def jackson_mean(lo: float, hi: float) -> float:
         """(q-1) sum over exponents of D_q h(q^l) f(q^(l+1)) q^l."""
-        klo, khi = ts.exponent_of(lo), ts.exponent_of(hi)
         total = 0.0
-        for k in range(klo, khi):
+        for k in range(ts.exponent_of(lo), ts.exponent_of(hi)):
             t = q ** k
             t_next = q ** (k + 1)
             dqh = (feval(spec.h, t_next) - feval(spec.h, t)) / ((q - 1.0) * t)
             total += dqh * feval(f, t_next) * t
         return (q - 1.0) * total
 
-    w = spec.alpha + spec.beta
-    bracket = 0.0
-    mean = 0.0
-    if spec.alpha > 0.0:
-        bracket += spec.alpha * (feval(spec.h, spec.x) - feval(spec.h, spec.a)) / (spec.x - spec.a)
-        mean += spec.alpha / (spec.x - spec.a) * jackson_mean(spec.a, spec.x)
-    if spec.beta > 0.0:
-        bracket += spec.beta * (feval(spec.h, spec.b) - feval(spec.h, spec.x)) / (spec.b - spec.x)
-        mean += spec.beta / (spec.b - spec.x) * jackson_mean(spec.x, spec.b)
-    return feval(f, spec.x) * bracket / w - mean / w
+    return jackson_mean
 
 
-def _closed_form_r(spec: KernelSpec, f: Func) -> float:
+def _r_integral(spec: KernelSpec, f: Func):
     if not isinstance(spec.ts, RealInterval):
         raise FamilyMismatch("family 'R' needs a real interval scale")
     if not (isinstance(f, Polynomial) and isinstance(spec.h, Polynomial)):
         raise FamilyMismatch("family 'R' needs polynomial f and h")
-    w = spec.alpha + spec.beta
     hd_f = poly_mul(poly_derive(spec.h.coeffs), f.coeffs)
-    bracket = 0.0
-    mean = 0.0
-    if spec.alpha > 0.0:
-        bracket += spec.alpha * (poly_eval(spec.h.coeffs, spec.x)
-                                 - poly_eval(spec.h.coeffs, spec.a)) / (spec.x - spec.a)
-        mean += spec.alpha / (spec.x - spec.a) * poly_definite(hd_f, spec.a, spec.x)
-    if spec.beta > 0.0:
-        bracket += spec.beta * (poly_eval(spec.h.coeffs, spec.b)
-                                - poly_eval(spec.h.coeffs, spec.x)) / (spec.b - spec.x)
-        mean += spec.beta / (spec.b - spec.x) * poly_definite(hd_f, spec.x, spec.b)
-    return poly_eval(f.coeffs, spec.x) * bracket / w - mean / w
+    return lambda lo, hi: poly_definite(hd_f, lo, hi)
+
+
+# Per family: (spec, f) -> its integral of h^Delta f(sigma) over [lo, hi),
+# after the family's own FamilyMismatch checks.
+_FAMILY_INTEGRALS = {"Z": _z_integral, "Q": _q_integral, "R": _r_integral}
 
 
 def reduction_weighted_ostrowski(ts: TimeScale, f: Func, h: Func,

@@ -122,8 +122,29 @@ def test_json_dumps_round_trips_every_float():
 
 
 def test_csv_rejected_without_bound_rows(capsys):
-    assert run(["verify-identity", "--trials", "2", "--format", "csv"]) == 1
-    assert run(["sharpness", "--trials", "2", "--format", "csv"]) == 1
+    for command in ("verify-identity", "crosscheck", "sharpness"):
+        assert run([command, "--trials", "2", "--format", "csv"]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --format csv" in err
+        assert "Traceback" not in err
+
+
+def test_cli_surface_is_pinned():
+    """Every subcommand's option strings; a new flag is a deliberate edit here."""
+    common = {"-h", "--help", "--config", "--seed", "--trials", "--tol", "--scale", "--out"}
+    rows = {"--format", "--variant"}
+    want = {
+        "verify-identity": common,
+        "verify-bounds": common | rows,
+        "crosscheck": common,
+        "sharpness": common | {"--theorem"},
+        "eval": common | rows,
+    }
+    subs = next(action for action in cli.build_parser()._actions
+                if action.dest == "command")
+    got = {name: {opt for action in sub._actions for opt in action.option_strings}
+           for name, sub in subs.choices.items()}
+    assert got == want
 
 
 def test_crosscheck_runs(tmp_path):

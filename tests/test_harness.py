@@ -35,6 +35,7 @@ from delta_ineq import (
     sharpness_search,
     trial_rng,
 )
+from delta_ineq import harness
 from delta_ineq.harness import STEP_FLOOR
 from delta_ineq.ostrowski import BOUNDS
 from delta_ineq.timescale import _ScaleBase
@@ -247,13 +248,35 @@ def test_crosscheck_suite_all_families():
         assert agg["max_rel_residual"] <= 1e-12
 
 
+def test_suites_build_witnesses_only_for_failing_checks(monkeypatch):
+    calls = {"_identity_witness": 0, "_bound_witness": 0}
+    for name in calls:
+        real = getattr(harness, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    assert run_identity_suite(TrialConfig(seed=1, n_trials=30)).passed
+    assert run_bound_suite(TrialConfig(seed=1, n_trials=30,
+                                       variants=(Variant.CORRECTED,))).passed
+    assert calls == {"_identity_witness": 0, "_bound_witness": 0}
+    # the counters do count: each recorded failure or finding built one witness
+    failing = run_identity_suite(TrialConfig(seed=1, n_trials=30, tolerance=1e-300))
+    literal = run_bound_suite(TrialConfig(seed=1, n_trials=30,
+                                          variants=(Variant.PAPER_LITERAL,)))
+    assert calls["_identity_witness"] == len(failing.failures) > 0
+    assert calls["_bound_witness"] == len(literal.findings) + len(literal.failures) > 0
+
+
 def test_suite_report_json_shape():
     rep = run_identity_suite(TrialConfig(seed=1, n_trials=5))
     d = rep.to_json()
     assert d["suite"] == "identity" and d["trials"] == 5
     assert "wall_time_s" in d and "rows" not in d
-    d2 = rep.to_json(include_wall_time=False, include_rows=True)
-    assert "wall_time_s" not in d2 and d2["rows"] == []
+    d2 = rep.to_json(include_wall_time=False)
+    assert "wall_time_s" not in d2 and "rows" not in d2
 
 
 # ---------------------------------------------------------------- sharpness

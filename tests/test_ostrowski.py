@@ -16,6 +16,7 @@ from delta_ineq import (
     ConfigError,
     ConsistencyError,
     ContinuousScale,
+    EmptyRange,
     FamilyMismatch,
     FiniteGrid,
     IntegerInterval,
@@ -234,6 +235,21 @@ def test_sup_and_range_on_worked(worked):
     assert sup_abs_delta_derivative(ts, T_SQUARED, 0.0, 4.0) == 7.0
     lo, hi = delta_derivative_range(ts, T_SQUARED, 0.0, 4.0)
     assert (lo, hi) == (1.0, 7.0)
+
+
+@pytest.mark.parametrize("ts, lo, hi", [
+    (FiniteGrid((0.0, 1.0, 2.5, 4.0)), 1.0, 2.5),
+    (IntegerInterval(0, 4), 1.0, 3.0),
+    (QLattice(2.0, 0, 4), 2.0, 8.0),
+    (RealInterval(0.0, 4.0), 1.0, 3.0),
+], ids=["grid", "integer", "qlattice", "real"])
+@pytest.mark.parametrize("a_is", ["equal", "after"])
+@pytest.mark.parametrize("fn", [sup_abs_delta_derivative, delta_derivative_range,
+                                gruss_variance_check])
+def test_derivative_envelopes_reject_an_empty_range(fn, a_is, ts, lo, hi):
+    a, b = (hi, hi) if a_is == "equal" else (hi, lo)
+    with pytest.raises(EmptyRange):
+        fn(ts, Polynomial((0.0, 0.0, 1.0)), a, b)
 
 
 def test_bracket_validation(worked):
@@ -499,6 +515,7 @@ def test_closed_form_z_matches(worked):
     got = closed_form_rhs(spec, T_SQUARED, "Z")
     assert got == pytest.approx(want, rel=1e-14)
     assert got == pytest.approx(-3.5, abs=1e-14)
+    assert got.hex() == "-0x1.c000000000000p+1"
 
 
 def test_closed_form_q_matches():
@@ -508,6 +525,7 @@ def test_closed_form_q_matches():
     want = montgomery_rhs(spec, T_SQUARED)
     got = closed_form_rhs(spec, T_SQUARED, "Q")
     assert got == pytest.approx(want, rel=1e-12)
+    assert got.hex() == "-0x1.c000000000000p+4"
 
 
 def test_closed_form_r_matches():
@@ -517,14 +535,35 @@ def test_closed_form_r_matches():
     want = montgomery_rhs(spec, T_SQUARED)
     got = closed_form_rhs(spec, T_SQUARED, "R")
     assert got == pytest.approx(want, rel=1e-12)
+    assert got.hex() == "-0x1.5355555555555p+2"
 
 
 def test_closed_form_family_mismatch(worked):
-    _, spec = worked
+    _, z_spec = worked
+    specs = {
+        "Z": z_spec,
+        "Q": KernelSpec(ts=QLattice(2.0, 0, 4), a=1.0, b=16.0, x=4.0,
+                        alpha=2.0, beta=1.0, h=IDENT),
+        "R": KernelSpec(ts=RealInterval(0.0, 3.0), a=0.0, b=3.0, x=1.0,
+                        alpha=1.0, beta=3.0, h=IDENT),
+        "grid": KernelSpec(ts=FiniteGrid((0.0, 1.0, 2.5, 4.0)), a=0.0, b=4.0, x=1.0,
+                           alpha=1.0, beta=1.0, h=IDENT),
+    }
+    for family in ("Z", "Q", "R"):
+        for kind, spec in specs.items():
+            if kind != family:
+                with pytest.raises(FamilyMismatch):
+                    closed_form_rhs(spec, T_SQUARED, family)
+    for spec in specs.values():
+        with pytest.raises(ConfigError):
+            closed_form_rhs(spec, T_SQUARED, "W")
+    r_spec = specs["R"]
+    sampled = Sampled({0.0: 0.0, 1.0: 1.0, 3.0: 9.0})
     with pytest.raises(FamilyMismatch):
-        closed_form_rhs(spec, T_SQUARED, "Q")
-    with pytest.raises(ConfigError):
-        closed_form_rhs(spec, T_SQUARED, "W")
+        closed_form_rhs(r_spec, sampled, "R")
+    with pytest.raises(FamilyMismatch):
+        closed_form_rhs(KernelSpec(ts=r_spec.ts, a=0.0, b=3.0, x=1.0, alpha=1.0,
+                                   beta=3.0, h=sampled), T_SQUARED, "R")
 
 
 def test_real_scale_needs_polynomials():
