@@ -10,14 +10,12 @@ verify-bounds and eval, the versioned CSV of bound rows.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 from .calculus import func_from_json
 from .errors import ConfigError, DeltaIneqError
 from .harness import (
-    TrialConfig,
     _reject_unknown,
     bound_row,
     config_from_json,
@@ -27,7 +25,6 @@ from .harness import (
     sharpness_search,
 )
 from .ostrowski import (
-    KernelSpec,
     Variant,
     delta_derivative_range,
     evaluate_bounds,
@@ -37,7 +34,6 @@ from .ostrowski import (
     montgomery_rhs,
 )
 from .reporting import json_dumps, rows_to_csv
-from .timescale import TimeScale, scale_from_json
 
 DEFAULT_SHARPNESS_SPEC = {
     "scale": {"kind": "integer", "lo": 0, "hi": 8},
@@ -59,19 +55,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}error: {message}")
 
 
-def _add_common(sub: argparse.ArgumentParser, bound_rows: bool) -> None:
-    """The flags of every subcommand; --format and --variant only where
-    bound rows exist (verify-bounds, eval)."""
+def _add_flags(sub: argparse.ArgumentParser, seeded: bool, scale: bool,
+               bound_rows: bool) -> None:
+    """The flags of one subcommand, each only where its value is read;
+    --format and --variant only where bound rows exist (verify-bounds,
+    eval).  A flag's dest is the JSON key it writes (_overlay)."""
     sub.add_argument("--config", metavar="PATH", help="JSON configuration file")
-    sub.add_argument("--seed", type=int, help="override the RNG seed")
-    sub.add_argument("--trials", type=int, help="override the trial count")
-    sub.add_argument("--tol", type=float, help="override the relative tolerance")
-    sub.add_argument("--scale", metavar="JSON", help="inline scale JSON overriding the draw")
+    if seeded:
+        sub.add_argument("--seed", type=int, help="override the RNG seed")
+        sub.add_argument("--trials", type=int, help="override the trial count")
+    sub.add_argument("--tol", dest="tolerance", metavar="TOL", type=float,
+                     help="override the relative tolerance")
+    if scale:
+        sub.add_argument("--scale", metavar="JSON", help="inline scale JSON overriding the draw")
     sub.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     if bound_rows:
         sub.add_argument("--format", choices=("json", "csv"), default="json")
-        sub.add_argument("--variant", choices=("literal", "corrected", "both"),
-                         default="both")
+        sub.add_argument("--variant", dest="variants",
+                         choices=("literal", "corrected", "both"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,16 +80,17 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Verification suites for weighted Ostrowski-type "
                                  "inequalities on time scales.")
     subs = parser.add_subparsers(dest="command", required=True)
-    _add_common(subs.add_parser("verify-identity", help="exact-identity suite"),
-                bound_rows=False)
-    _add_common(subs.add_parser("verify-bounds", help="theorem bound suite"),
-                bound_rows=True)
-    _add_common(subs.add_parser("crosscheck", help="family closed-form cross-check"),
-                bound_rows=False)
+    _add_flags(subs.add_parser("verify-identity", help="exact-identity suite"),
+               seeded=True, scale=True, bound_rows=False)
+    _add_flags(subs.add_parser("verify-bounds", help="theorem bound suite"),
+               seeded=True, scale=True, bound_rows=True)
+    _add_flags(subs.add_parser("crosscheck", help="family closed-form cross-check"),
+               seeded=True, scale=False, bound_rows=False)
     sharp = subs.add_parser("sharpness", help="bound tightness search")
-    _add_common(sharp, bound_rows=False)
+    _add_flags(sharp, seeded=True, scale=True, bound_rows=False)
     sharp.add_argument("--theorem", help="theorem id to probe (default T5)")
-    _add_common(subs.add_parser("eval", help="evaluate one kernel instance"), bound_rows=True)
+    _add_flags(subs.add_parser("eval", help="evaluate one kernel instance"),
+               seeded=False, scale=True, bound_rows=True)
     return parser
 
 
@@ -105,43 +107,27 @@ def _load_config_file(path: str | None) -> dict:
     return obj
 
 
-def _variants_for(choice: str) -> tuple[Variant, ...]:
-    if choice == "literal":
-        return (Variant.PAPER_LITERAL,)
-    if choice == "corrected":
-        return (Variant.CORRECTED,)
-    return (Variant.PAPER_LITERAL, Variant.CORRECTED)
-
-
-def _scale_override(ns: argparse.Namespace) -> TimeScale | None:
-    """The scale given by --scale, or None without the flag."""
-    if ns.scale is None:
-        return None
-    try:
-        return scale_from_json(json.loads(ns.scale))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"--scale: {exc}") from exc
-
-
-def _spec_with_scale_override(ns: argparse.Namespace, spec: KernelSpec) -> KernelSpec:
-    ts = _scale_override(ns)
-    return spec if ts is None else dataclasses.replace(spec, ts=ts)
-
-
-def _trial_config(ns: argparse.Namespace, file_obj: dict) -> TrialConfig:
-    """The config of file_obj with the --seed, --trials, --tol and --variant
-    overrides; --scale is the caller's to apply."""
-    config = config_from_json(file_obj)
-    updates: dict = {}
-    if ns.seed is not None:
-        updates["seed"] = ns.seed
-    if ns.trials is not None:
-        updates["n_trials"] = ns.trials
-    if ns.tol is not None:
-        updates["tolerance"] = ns.tol
-    if getattr(ns, "variant", None) is not None:
-        updates["variants"] = _variants_for(ns.variant)
-    return dataclasses.replace(config, **updates) if updates else config
+def _overlay(obj, ns: argparse.Namespace, keys=("seed", "trials", "tolerance", "variants", "scale")):
+    """obj with each of keys whose flag was given written over it, as the
+    JSON the config file would hold; obj that is not an object is left for
+    its parser to reject.  sharpness and eval write --scale into their spec,
+    not into the trial config."""
+    if not isinstance(obj, dict):
+        return obj
+    obj = dict(obj)
+    for key in keys:
+        value = getattr(ns, key, None)
+        if value is None:
+            continue
+        if key == "scale":
+            try:
+                value = json.loads(value)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"--scale: {exc}") from exc
+        elif key == "variants":
+            value = ["literal", "corrected"] if value == "both" else [value]
+        obj[key] = value
+    return obj
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -154,10 +140,8 @@ def _write(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _run_suite(ns: argparse.Namespace, runner) -> int:
-    config = _trial_config(ns, _load_config_file(ns.config))
-    if ns.scale is not None:
-        config = dataclasses.replace(config, fixed_scale=_scale_override(ns))
+def _run_suite(ns: argparse.Namespace, runner, suite: str) -> int:
+    config = config_from_json(_overlay(_load_config_file(ns.config), ns), suite)
     if getattr(ns, "format", "json") == "csv":     # verify-bounds only
         report = runner(config, keep_rows=True)
         _write(rows_to_csv(report.rows), ns.out)
@@ -171,12 +155,13 @@ def _run_sharpness(ns: argparse.Namespace) -> int:
     file_obj = _load_config_file(ns.config)
     _reject_unknown(file_obj, {"theorem", "spec", "config"}, "sharpness config")
     theorem = ns.theorem if ns.theorem is not None else file_obj.get("theorem", "T5")
-    spec = _spec_with_scale_override(
-        ns, kernel_spec_from_json(file_obj.get("spec", DEFAULT_SHARPNESS_SPEC)))
+    spec = kernel_spec_from_json(
+        _overlay(file_obj.get("spec", DEFAULT_SHARPNESS_SPEC), ns, ("scale",)))
     config_obj = file_obj.get("config", {})
     if isinstance(config_obj, dict) and "trials" not in config_obj:
         config_obj = config_obj | {"trials": 5000}      # the default evaluation budget
-    config = _trial_config(ns, config_obj)
+    config = config_from_json(_overlay(config_obj, ns, ("seed", "trials", "tolerance")),
+                              "sharpness")
     result = sharpness_search(theorem, spec, config)
     _write(json_dumps(result.to_json()), ns.out)
     return 2 if result.violation else 0
@@ -187,10 +172,10 @@ def _run_eval(ns: argparse.Namespace) -> int:
     if "spec" not in file_obj or "f" not in file_obj:
         raise ConfigError("eval config needs 'spec' and 'f'")
     _reject_unknown(file_obj, {"spec", "f", "g", "gamma", "big_gamma"}, "eval config")
-    spec = _spec_with_scale_override(ns, kernel_spec_from_json(file_obj["spec"]))
+    spec = kernel_spec_from_json(_overlay(file_obj["spec"], ns, ("scale",)))
     f = func_from_json(file_obj["f"])
     g = func_from_json(file_obj["g"]) if "g" in file_obj else f
-    tol = ns.tol if ns.tol is not None else 1e-10
+    settings = config_from_json(_overlay({}, ns, ("tolerance", "variants")))
     gamma = file_obj.get("gamma")
     big_gamma = file_obj.get("big_gamma")
     exact_lo, exact_hi = delta_derivative_range(spec.ts, f, spec.a, spec.b)
@@ -202,8 +187,8 @@ def _run_eval(ns: argparse.Namespace) -> int:
     lhs = montgomery_lhs(spec, f)
     rhs = montgomery_rhs(spec, f)
     mom = kernel_moments(spec)
-    _, reports = evaluate_bounds(spec, f, g, _variants_for(ns.variant), gamma, big_gamma)
-    rows = [bound_row(0, rep, spec, tol) for rep in reports]
+    _, reports = evaluate_bounds(spec, f, g, settings.variants, gamma, big_gamma)
+    rows = [bound_row(0, rep, spec, settings.tolerance) for rep in reports]
     failing = [row for row in rows if not row["pass"]]
     findings = [row for row in failing if row["variant"] == Variant.PAPER_LITERAL.value]
     failures = [row for row in failing if row["variant"] == Variant.CORRECTED.value]
@@ -237,11 +222,11 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 0
     try:
         if ns.command == "verify-identity":
-            return _run_suite(ns, run_identity_suite)
+            return _run_suite(ns, run_identity_suite, "identity")
         if ns.command == "verify-bounds":
-            return _run_suite(ns, run_bound_suite)
+            return _run_suite(ns, run_bound_suite, "bounds")
         if ns.command == "crosscheck":
-            return _run_suite(ns, run_crosscheck_suite)
+            return _run_suite(ns, run_crosscheck_suite, "crosscheck")
         if ns.command == "sharpness":
             return _run_sharpness(ns)
         if ns.command == "eval":

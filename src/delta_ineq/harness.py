@@ -171,6 +171,8 @@ class TrialConfig:
             raise ConfigError("tolerance must be positive")
         if not self.variants:
             raise ConfigError("variants must not be empty")
+        if len(set(self.variants)) < len(self.variants):
+            raise ConfigError("variants must be distinct")
         if self.fixed_scale is None:
             if not self.scale_families:
                 raise ConfigError("scale_families must not be empty")
@@ -190,21 +192,34 @@ def _reject_unknown(obj: dict, known: set[str], what: str) -> None:
         raise ConfigError(f"unknown {what} fields {sorted(extra)}")
 
 
-def _family_from_json(obj: dict, base: FuncFamily) -> FuncFamily:
+_FUNC_KEYS = frozenset({"kind", "value_range", "max_degree", "coeff_range"})
+_CONFIG_KEYS = frozenset({"seed", "trials", "tolerance", "scales", "size_range",
+                          "func", "weight", "variants", "scale"})
+# suite: (the config keys it reads, the keys of "func" it reads).  The
+# crosscheck suite draws each family's scales itself; sharpness probes one
+# fixed spec with one sampled draw per function.
+SUITE_CONFIG_KEYS = {
+    "identity": (_CONFIG_KEYS - {"variants"}, _FUNC_KEYS),
+    "bounds": (_CONFIG_KEYS, _FUNC_KEYS),
+    "crosscheck": (_CONFIG_KEYS - {"scales", "variants", "scale"}, _FUNC_KEYS),
+    "sharpness": (frozenset({"seed", "trials", "tolerance", "func"}), frozenset({"value_range"})),
+}
+
+
+def _family_from_json(obj: dict, base: FuncFamily, known=_FUNC_KEYS) -> FuncFamily:
     if not isinstance(obj, dict):
         raise ConfigError("function family config must be an object")
-    _reject_unknown(obj, {"kind", "value_range", "max_degree", "coeff_range"},
-                    "function family")
+    _reject_unknown(obj, known, "function family")
     merged = dataclasses.asdict(base) | obj
     return FuncFamily(**merged)
 
 
-def config_from_json(obj: dict) -> TrialConfig:
-    """Build a TrialConfig from its JSON form; unknown keys are rejected."""
+def config_from_json(obj: dict, suite: str = "bounds") -> TrialConfig:
+    """Build a TrialConfig from its JSON form; keys suite does not read are rejected."""
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
-    _reject_unknown(obj, {"seed", "trials", "tolerance", "scales", "size_range",
-                          "func", "weight", "variants", "scale"}, "config")
+    keys, func_keys = SUITE_CONFIG_KEYS[suite]
+    _reject_unknown(obj, keys, "config")
     base = TrialConfig()
     try:
         return TrialConfig(
@@ -213,7 +228,7 @@ def config_from_json(obj: dict) -> TrialConfig:
             tolerance=float(obj.get("tolerance", base.tolerance)),
             scale_families=tuple(obj.get("scales", base.scale_families)),
             size_range=tuple(obj.get("size_range", base.size_range)),
-            func_family=_family_from_json(obj.get("func", {}), base.func_family),
+            func_family=_family_from_json(obj.get("func", {}), base.func_family, func_keys),
             weight_family=_family_from_json(obj.get("weight", {}), base.weight_family),
             variants=tuple(obj.get("variants", [v.value for v in base.variants])),
             fixed_scale=scale_from_json(obj["scale"]) if "scale" in obj else None,

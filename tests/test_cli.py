@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -131,20 +132,82 @@ def test_csv_rejected_without_bound_rows(capsys):
 
 def test_cli_surface_is_pinned():
     """Every subcommand's option strings; a new flag is a deliberate edit here."""
-    common = {"-h", "--help", "--config", "--seed", "--trials", "--tol", "--scale", "--out"}
+    common = {"-h", "--help", "--config", "--tol", "--out"}
+    seeded = {"--seed", "--trials"}
     rows = {"--format", "--variant"}
     want = {
-        "verify-identity": common,
-        "verify-bounds": common | rows,
-        "crosscheck": common,
-        "sharpness": common | {"--theorem"},
-        "eval": common | rows,
+        "verify-identity": common | seeded | {"--scale"},
+        "verify-bounds": common | seeded | {"--scale"} | rows,
+        "crosscheck": common | seeded,
+        "sharpness": common | seeded | {"--scale", "--theorem"},
+        "eval": common | {"--scale"} | rows,
     }
     subs = next(action for action in cli.build_parser()._actions
                 if action.dest == "command")
     got = {name: {opt for action in sub._actions for opt in action.option_strings}
            for name, sub in subs.choices.items()}
     assert got == want
+
+
+@pytest.mark.parametrize("argv", [["eval", "--seed", "1"], ["eval", "--trials", "5"],
+                                  ["crosscheck", "--scale", '{"kind": "integer", "lo": 0, "hi": 9}']])
+def test_unread_flags_are_usage_errors(argv, capsys):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[1]}" in err
+    assert "Traceback" not in err
+
+
+SCALE_0_8 = {"kind": "integer", "lo": 0, "hi": 8}
+
+
+@pytest.mark.parametrize("command,body,field", [
+    ("verify-identity", {"variants": ["corrected"]}, "variants"),
+    ("crosscheck", {"scales": ["integer"]}, "scales"),
+    ("crosscheck", {"variants": ["corrected"]}, "variants"),
+    ("crosscheck", {"scale": SCALE_0_8}, "scale"),
+    ("sharpness", {"config": {"scales": ["integer"]}}, "scales"),
+    ("sharpness", {"config": {"size_range": [3, 8]}}, "size_range"),
+    ("sharpness", {"config": {"weight": {"kind": "sampled"}}}, "weight"),
+    ("sharpness", {"config": {"variants": ["corrected"]}}, "variants"),
+    ("sharpness", {"config": {"scale": SCALE_0_8}}, "scale"),
+    ("sharpness", {"config": {"func": {"kind": "sampled"}}}, "kind"),
+    ("sharpness", {"config": {"func": {"max_degree": 2}}}, "max_degree"),
+    ("sharpness", {"config": {"func": {"coeff_range": 1.0}}}, "coeff_range"),
+])
+def test_unread_config_keys_are_rejected(command, body, field, tmp_path, capsys):
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps(body))
+    assert run([command, "--trials", "2", "--config", str(cfgf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown") and repr(field) in err
+    assert "Traceback" not in err
+
+
+def test_file_variants_hold_without_the_flag(tmp_path):
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({"variants": ["corrected"]}))
+    argv = ["verify-bounds", "--trials", "2", "--seed", "1", "--config", str(cfgf)]
+    out = tmp_path / "b.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    theorems = ("T5", "T6a", "T6b", "T7-L2", "T7-Gruss", "T8")
+    corrected = {f"{t}/corrected" for t in theorems}
+    assert set(json.loads(out.read_text())["checks"]) == corrected | {"t7-chain"}
+    assert run(argv + ["--variant", "both", "--out", str(out)]) == 0
+    assert set(json.loads(out.read_text())["checks"]) == (
+        corrected | {f"{t}/literal" for t in theorems} | {"t7-chain"})
+
+
+def test_scale_flag_writes_the_config_scale(tmp_path):
+    scale = {"kind": "qlattice", "q": 1.5, "kmin": -2, "kmax": 6}
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({"scale": scale}))
+    argv = ["verify-identity", "--trials", "5", "--seed", "3"]
+    by_flag, by_file = tmp_path / "flag.json", tmp_path / "file.json"
+    assert run(argv + ["--scale", json.dumps(scale), "--out", str(by_flag)]) == 0
+    assert run(argv + ["--config", str(cfgf), "--out", str(by_file)]) == 0
+    wall = re.compile(r'"wall_time_s":\s*[^,\n}]*')
+    assert wall.sub("", by_flag.read_text()) == wall.sub("", by_file.read_text())
 
 
 def test_crosscheck_runs(tmp_path):

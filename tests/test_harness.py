@@ -124,6 +124,51 @@ def test_config_defaults_and_validation():
         TrialConfig(scale_families=())
 
 
+def test_config_variants_must_be_distinct():
+    # a repeated variant would count every evaluation of its keys twice
+    with pytest.raises(ConfigError, match="distinct"):
+        TrialConfig(variants=("corrected", "corrected"))
+    with pytest.raises(ConfigError, match="distinct"):
+        config_from_json({"variants": ["literal", "corrected", "literal"]})
+
+
+# one valid value per config key, and per key of "func"
+CONFIG_PROBES = {
+    "seed": 1, "trials": 2, "tolerance": 1e-9, "scales": ["integer"],
+    "size_range": [3, 8], "func": {}, "weight": {}, "variants": ["corrected"],
+    "scale": {"kind": "integer", "lo": 0, "hi": 8},
+}
+FUNC_PROBES = {"kind": "sampled", "value_range": 4.0, "max_degree": 2, "coeff_range": 1.0}
+
+
+def _accepted(suite, objs):
+    keys = set()
+    for key, obj in objs.items():
+        try:
+            config_from_json(obj, suite)
+        except ConfigError:
+            continue
+        keys.add(key)
+    return keys
+
+
+def test_config_keys_per_suite_are_pinned():
+    """The config keys each suite reads, found by trying each one alone; a
+    new key is a deliberate edit here."""
+    every = set(CONFIG_PROBES)
+    want = {
+        "identity": (every - {"variants"}, set(FUNC_PROBES)),
+        "bounds": (every, set(FUNC_PROBES)),
+        "crosscheck": (every - {"scales", "variants", "scale"}, set(FUNC_PROBES)),
+        "sharpness": ({"seed", "trials", "tolerance", "func"}, {"value_range"}),
+    }
+    got = {suite: (_accepted(suite, {k: {k: v} for k, v in CONFIG_PROBES.items()}),
+                   _accepted(suite, {k: {"func": {k: v}} for k, v in FUNC_PROBES.items()}))
+           for suite in want}
+    assert got == want
+    assert config_from_json(CONFIG_PROBES) == config_from_json(CONFIG_PROBES, "bounds")
+
+
 def test_config_real_scale_needs_polynomials():
     with pytest.raises(ConfigError):
         TrialConfig(scale_families=("real",))
