@@ -192,11 +192,15 @@ def _with_sample(ts: TimeScale, f: Sampled, a: float, b: float, i: int, t: float
     i - 1 and i recomputed by the expression of _step_table, so it is
     bit-equal to a fresh table; mu and the dense pieces are f's own lists.
     It enumerates no grid, so a search that moves one sample at a time
-    tabulates its window once."""
+    tabulates its window once.  f's table is float already, so the new one
+    is set as is; the constructor would convert every entry again."""
     mus, fds, vals, dense = _step_table(ts, f, a, b)
-    moved = Sampled(table=f.table | {t: value})
+    value = float(value)
+    moved = object.__new__(Sampled)
+    object.__setattr__(moved, "table", f.table | {t: value})
+    object.__setattr__(moved, "_delta_memo", {})
     vals = vals.copy()
-    vals[i] = moved.table[t]
+    vals[i] = value
     fds = fds.copy()
     for j in (i - 1, i):
         if 0 <= j < len(mus):

@@ -250,29 +250,32 @@ def _roots_in(coeffs: tuple[float, ...], lo: float, hi: float) -> list[float]:
     n = ROOT_SCAN_CELLS
     step = (hi - lo) / n
     xs = [lo + i * step for i in range(n + 1)]
-    vals = [poly_eval(coeffs, x) for x in xs]
+    # poly_eval's Horner steps, in its order, one coefficient at a time
+    vals = [0.0] * (n + 1)
+    for c in reversed(coeffs):
+        vals = [v * x + c for v, x in zip(vals, xs)]
+    cells = [i for i, (u, v) in enumerate(zip(vals, vals[1:])) if u == 0.0 or u * v < 0.0]
     tol = ROOT_REFINE_TOL * max(1.0, abs(lo), abs(hi))
     roots: list[float] = []
-    for i in range(n):
-        u, v = vals[i], vals[i + 1]
+    for i in cells:
+        u = vals[i]
         if u == 0.0:
             if lo < xs[i] < hi:
                 roots.append(xs[i])
             continue
-        if u * v < 0.0:
-            left, right = xs[i], xs[i + 1]
-            fl = u
-            while right - left > tol:
-                mid = 0.5 * (left + right)
-                fm = poly_eval(coeffs, mid)
-                if fm == 0.0:
-                    left = right = mid
-                    break
-                if fl * fm < 0.0:
-                    right = mid
-                else:
-                    left, fl = mid, fm
-            roots.append(0.5 * (left + right))
+        left, right = xs[i], xs[i + 1]
+        fl = u
+        while right - left > tol:
+            mid = 0.5 * (left + right)
+            fm = poly_eval(coeffs, mid)
+            if fm == 0.0:
+                left = right = mid
+                break
+            if fl * fm < 0.0:
+                right = mid
+            else:
+                left, fl = mid, fm
+        roots.append(0.5 * (left + right))
     return roots
 
 

@@ -5,9 +5,12 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delta_ineq import cli
 from delta_ineq.reporting import CSV_VERSION_LINE, json_dumps
+from test_golden import WALL_TIME
 
 
 def run(args):
@@ -120,6 +123,80 @@ def test_json_dumps_round_trips_every_float():
     assert all(type(x) is float for x in back["finite"])
     assert [x.hex() for x in back["finite"]] == [x.hex() for x in obj["finite"]]
     assert "0.1," in text and "7.0," in text and "-0.0\n" in text
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+                         st.floats(allow_nan=True, allow_infinity=True),
+                         st.sampled_from([-0.0, float("inf"), float("-inf"), float("nan")]))
+JSON_KEYS = st.one_of(st.text(max_size=4), st.integers(), st.floats(), st.booleans(), st.none())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(JSON_KEYS, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_dumps_parses_as_the_indented_text(obj):
+    # json.dumps of the parsed object shows float repr, -0.0, NaN, int
+    # against float, key order and string keys
+    want = json.dumps(json.loads(json.dumps(obj, indent=2)))
+    assert json.dumps(json.loads(json_dumps(obj))) == want
+
+
+def test_json_dumps_lays_out_two_levels():
+    obj = {"empty": [], "none": {}, "trace": (0.5, -0.0), "nest": {"k": {"deep": [1, (2,)]}},
+           "rows": [{"x": float("inf")}, [float("nan"), []]], "n": 3}
+    assert json_dumps(obj).splitlines() == [
+        "{",
+        '  "empty": [],',
+        '  "none": {},',
+        '  "trace": [',
+        "    0.5,",
+        "    -0.0",
+        "  ],",
+        '  "nest": {',
+        '    "k": {"deep": [1, [2]]}',
+        "  },",
+        '  "rows": [',
+        '    {"x": Infinity},',
+        "    [NaN, []]",
+        "  ],",
+        '  "n": 3',
+        "}",
+    ]
+
+
+def test_suite_reports_write_one_witness_per_line(tmp_path):
+    cfg = tmp_path / "real.json"
+    cfg.write_text(json.dumps({"scales": ["real"], "func": {"kind": "poly"},
+                               "weight": {"kind": "poly"}}))
+    runs = {"identity": (["verify-identity", "--trials", "5"], 0),
+            "bounds": (["verify-bounds", "--trials", "40", "--seed", "3",
+                        "--config", str(cfg)], 2),
+            "crosscheck": (["crosscheck", "--trials", "5"], 0)}
+    for name, (argv, code) in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert run(argv + ["--out", str(out)]) == code
+        text = out.read_text(encoding="utf-8")
+        report = json.loads(text)
+        if name == "bounds":     # literal findings and t7-chain failures
+            assert report["findings"] and report["failures"]
+        lines = text.splitlines()
+        # each top-level key starts its own line
+        assert [ln.split('"')[1] for ln in lines if ln.startswith('  "')] == list(report)
+        assert len(WALL_TIME.findall(text)) == 1
+        for part in ("findings", "failures"):
+            witnesses = report[part]
+            if not witnesses:
+                assert f'  "{part}": [],' in lines
+                continue
+            first = lines.index(f'  "{part}": [') + 1
+            body = lines[first:first + len(witnesses)]
+            assert lines[first + len(witnesses)] in ("  ],", "  ]")
+            assert [json.loads(ln.strip().rstrip(",")) for ln in body] == witnesses
 
 
 def test_csv_rejected_without_bound_rows(capsys):

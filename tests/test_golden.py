@@ -53,35 +53,35 @@ SHARPNESS_T6B = {
 RUNS = {
     "verify-bounds": (
         ["verify-bounds", "--variant", "both", "--trials", "60", "--seed", "5"], None, 0,
-        "9ee1626f24879d5fb6bfaccc5e5ec946caf6d33314b6113385b0b86d9b41a35e"),
+        "97f28d46ac07b56686462df2adf414db2663119d8dd4ec643afe5346901e9dff"),
     "verify-bounds-csv": (
         ["verify-bounds", "--variant", "both", "--trials", "60", "--seed", "5",
          "--format", "csv"], None, 0,
         "13a4cf443aeccfd2036ca7589b5857540c3a41c55613adda24f0c76f482d3e02"),
     "verify-bounds-real": (
         ["verify-bounds", "--variant", "both", "--trials", "40", "--seed", "3"], REAL_POLY, 2,
-        "67f7112f52fcee698162316c17da02abf43714a7ac0fe0cc41510fa3feaaa66e"),
+        "3eb6e8f5793b3942affac0e88e13351803f7eb630003eca9902be9087143e8ce"),
     "verify-identity": (
         ["verify-identity", "--trials", "40", "--seed", "7"], None, 0,
-        "ef2b81046c9cdda206a96a60159dd99999d45949da9233b606749104ea4d75fd"),
+        "debba0fb7059549736c090b0ffc7acbda319565aa1c8f235f80db52d88fa6db4"),
     "verify-identity-poly": (
         ["verify-identity", "--trials", "40", "--seed", "7"], POLY_ALL_SCALES, 0,
-        "8f0b8573b4acff82a1be828b6989a1904ac8b8df4c4b89930bdb2258ac88a219"),
+        "cbcf5912e30a3cea3c8b16036ae429addd593fa3e7b7c822c8dad30c6493e934"),
     "verify-identity-large": (
         ["verify-identity", "--trials", "4", "--seed", "7"], IDENTITY_LARGE, 0,
-        "4b42c8289738470ed89901e517bb89a792766e2a0e37cad24cda8d8f05604f4d"),
+        "646f28684d9ae59ff4c32fd49c5a3bbc120e965ebdd0b9525d2b1fec9a26a000"),
     "crosscheck": (
         ["crosscheck", "--trials", "20", "--seed", "5"], None, 0,
-        "12d8a81754614ae4ffdc6279ed64166454ab51766225e0b4e2ad09a8fd870f7b"),
+        "bed5d6aa1a57d8bf9577041646014ed0b0dbc54a5f1e7b383a20d1bc41ff8cb6"),
     "sharpness-t6b": (
         ["sharpness", "--seed", "2"], SHARPNESS_T6B, 0,
-        "789e097fc32ccc33ded06a07ea8c8f4bf332c96022c7ea9f9d8c52d1ac686589"),
+        "92101f49795542bd4687649dc19632102486fe096c973b4fac7c1a4bdcc552c0"),
     "eval": (
         ["eval", "--variant", "both"], EVAL_QLATTICE, 0,
-        "1ccfa7344b71779286e8586efb148e73da8f9f40044594adaa87fd931f61f5e3"),
+        "39fe2ccdabcad4de45433a58599bb333589c467abdc0086edb80795d021e89ad"),
     "eval-anchor": (
         ["eval", "--variant", "both"], EVAL_ANCHOR, 0,
-        "3b3e2329aed161c45457a1fbf3cb7b08804a44b727a0a4272e2207bedf6a66b3"),
+        "d946aac9a653deb4963a29cd0ce1b9c598bb410751286fe79fc1525f72314f37"),
     "eval-csv": (
         ["eval", "--variant", "both", "--format", "csv"], EVAL_QLATTICE, 0,
         "b15299820eaef7f64b1a236e6c194a9a79a99e4b82511b28fd0063d941bf437d"),

@@ -6,6 +6,7 @@ with plain loops, independent of the package's own integrators.
 """
 
 import math
+import random
 import sys
 
 import pytest
@@ -50,8 +51,9 @@ from delta_ineq import (
     reduction_weighted_ostrowski,
     sup_abs_delta_derivative,
 )
-from delta_ineq.calculus import poly_definite
+from delta_ineq.calculus import poly_definite, poly_eval
 from delta_ineq.ostrowski import (
+    ROOT_REFINE_TOL,
     ROOT_SCAN_CELLS,
     _abs_definite,
     _kernel_sup,
@@ -617,3 +619,78 @@ def test_constant_polynomial_has_no_scan_roots(coeffs):
     for u, v in zip(cuts, cuts[1:]):
         expected += abs(poly_definite(coeffs, u, v))
     assert _abs_definite(coeffs, lo, hi).hex() == expected.hex()
+
+
+def _scan_roots_point_by_point(coeffs, lo, hi):
+    """_roots_in as it was with one poly_eval call per scan point: the
+    reference the one-coefficient-at-a-time scan must match bit for bit."""
+    if lo >= hi or not any(coeffs[1:]):
+        return []
+    n = ROOT_SCAN_CELLS
+    step = (hi - lo) / n
+    xs = [lo + i * step for i in range(n + 1)]
+    vals = [poly_eval(coeffs, x) for x in xs]
+    tol = ROOT_REFINE_TOL * max(1.0, abs(lo), abs(hi))
+    roots = []
+    for i in range(n):
+        u, v = vals[i], vals[i + 1]
+        if u == 0.0:
+            if lo < xs[i] < hi:
+                roots.append(xs[i])
+            continue
+        if u * v < 0.0:
+            left, right = xs[i], xs[i + 1]
+            fl = u
+            while right - left > tol:
+                mid = 0.5 * (left + right)
+                fm = poly_eval(coeffs, mid)
+                if fm == 0.0:
+                    left = right = mid
+                    break
+                if fl * fm < 0.0:
+                    right = mid
+                else:
+                    left, fl = mid, fm
+            roots.append(0.5 * (left + right))
+    return roots
+
+
+def _random_root_scan_cases(n_cases, seed=15):
+    """(coeffs, lo, hi) of degree <= 4, in turn: random coefficients on a
+    random interval; roots on scan points of a dyadic interval, so that
+    the scan meets exact zeros; roots on scan points of a random interval,
+    so that round-off alone sets the sign there."""
+    rng = random.Random(seed)
+    cases = []
+    for k in range(n_cases):
+        degree = rng.randint(1, 4)
+        if k % 3 == 0:
+            lo = rng.uniform(-5.0, 5.0)
+            hi = lo + rng.uniform(1e-3, 10.0)
+            coeffs = tuple(rng.uniform(-3.0, 3.0) for _ in range(degree + 1))
+        else:
+            if k % 3 == 1:
+                lo, hi = float(rng.randint(-4, 0)), float(rng.randint(1, 4))
+            else:
+                lo = rng.uniform(-5.0, 0.0)
+                hi = rng.uniform(0.5, 5.0)
+            step = (hi - lo) / ROOT_SCAN_CELLS
+            coeffs = (rng.choice((-2.0, 0.5, 1.0, 3.0)),)
+            for _ in range(degree):
+                r = lo + rng.randint(0, ROOT_SCAN_CELLS) * step
+                # times (t - r), coefficients from the constant term up
+                coeffs = tuple(a - r * b for a, b in zip((0.0,) + coeffs, coeffs + (0.0,)))
+        cases.append((coeffs, lo, hi))
+    return cases
+
+
+def test_root_scan_is_bit_equal_to_the_point_by_point_scan():
+    cases = _random_root_scan_cases(600)
+    exact_zeros = 0
+    for coeffs, lo, hi in cases:
+        got = _roots_in(coeffs, lo, hi)
+        want = _scan_roots_point_by_point(coeffs, lo, hi)
+        assert [r.hex() for r in got] == [r.hex() for r in want], (coeffs, lo, hi)
+        exact_zeros += any(poly_eval(coeffs, r) == 0.0 for r in want)
+    # the dyadic third must reach the scan's exact-zero branch
+    assert exact_zeros >= 100
