@@ -88,8 +88,9 @@ class KernelSpec:
     alpha == 0, x == b needs beta == 0).
 
     The kernel data every bound reads (the steps of mu, P and h^Delta and
-    the dense pieces of P, the moments, the weight bracket) is computed
-    on first use and kept by ``cached_property`` in the instance
+    the dense pieces of P, the moments, the weight bracket), and the sigma
+    walk that the identity checks compare it with, is computed on first
+    use and kept by ``cached_property`` in the instance
     ``__dict__``.  None of it is a dataclass field: ==, hash, repr and the
     JSON form ignore it, ``dataclasses.replace`` builds a spec with none,
     and it lives and dies with the spec.
@@ -146,6 +147,28 @@ class KernelSpec:
                 right = poly_scale(poly_add((hv[-1],), poly_scale(hc, -1.0)), -c2)
                 pieces.append((max(lo, self.x), hi, right))
         return mus, ps, hds, k, tuple(pieces)
+
+    @cached_property
+    def _sigma_walk(self) -> tuple[list[float], list[float], list[float]]:
+        """The window [a, b) walked from a by ts.sigma, apart from any step
+        table: the points reached, a first and b last; mu = sigma(t) - t and
+        P(t) per step, P by the branch of t against x with h read through
+        feval.  The second route of the identity checks to the kernel data
+        of _grid; a right-dense point raises ContinuousScale."""
+        ts, h, x, b = self.ts, self.h, self.x, self.b
+        c1, c2 = _branch_coeffs(self)
+        ha, hb = feval(h, self.a), feval(h, b)
+        pts, mus, ps = [self.a], [], []
+        t = self.a
+        while t < b:
+            s = ts.sigma(t)
+            if s == t:
+                raise ContinuousScale(f"t={t!r} is right-dense: the sigma walk needs steps")
+            mus.append(s - t)
+            ps.append(c1 * (feval(h, t) - ha) if t < x else -c2 * (hb - feval(h, t)))
+            pts.append(s)
+            t = s
+        return pts, mus, ps
 
     @cached_property
     def _moments(self) -> Moments:
@@ -641,82 +664,47 @@ def evaluate_bounds(spec: KernelSpec, f: Func, g: Func, variants: tuple[Variant,
 # proof-step identities
 
 
-def _mu_and_kernel(spec: KernelSpec) -> tuple[list[float], list[float]]:
-    mus, ps, _, _, dense = spec._grid
-    if dense:
-        raise ContinuousScale("Korkine cross-check runs on windows without a dense piece")
-    return mus, ps
-
-
-def _korkine_defects(mus: list[float], ps: list[float], fds: list[float],
-                     width: float) -> tuple[float, float]:
-    """Korkine defects of (P, f^Delta) and of (P, P) in one pass.
-
-    Each defect is mean(uv) - mean(u)mean(v), means weighted by mu/width,
-    minus the symmetrized double sum (1/2W^2) sum_ij mu_i mu_j (u_i - u_j)
-    (v_i - v_j).  The double route sums each unordered pair i < j once: the
-    float term equals its (j, i) mirror (the product commutes and negating
-    both differences is exact) and the diagonal terms are 0, so the full
-    square is twice this triangle over the same terms.  Both pairs share
-    u = P, so each pair computes w = mu_i mu_j (P_i - P_j) once and
-    multiplies it by (F_i - F_j) and by (P_i - P_j).  The sums are plain
-    left-to-right loops: from Python 3.12 on, sum() over floats
-    compensates, which would make the output depend on the version.
-
-    Both routes read the same mu, P and f^Delta lists, and Korkine's
-    identity holds for any numbers, so a defect can show only round-off,
-    never a wrong step table or kernel.
-    """
-    m_pf = m_p = m_f = m_pp = 0.0
-    for m, p, fd in zip(mus, ps, fds):
-        m_pf += m * p * fd
-        m_p += m * p
-        m_f += m * fd
-        m_pp += m * p * p
-    m_pf /= width
-    m_p /= width
-    m_f /= width
-    m_pp /= width
-    rows = list(zip(mus, ps, fds))
-    double_pf = double_pp = 0.0
-    for i, (mi, pi, fi) in enumerate(rows, 1):
-        for mj, pj, fj in rows[i:]:
-            dp = pi - pj
-            w = mi * mj * dp
-            double_pf += w * (fi - fj)
-            double_pp += w * dp
-    wsq = width * width
-    return (m_pf - m_p * m_f - double_pf / wsq,
-            m_pp - m_p * m_p - double_pp / wsq)
-
-
-def korkine_residuals(spec: KernelSpec, f: Func) -> tuple[float, float]:
-    """(korkine_residual(spec, f), kernel_variance_residual(spec)) from one
-    pass over the pairs; each ~0 always.  Both routes of each check read the
-    same step tables, so the checks detect round-off only, not a wrong
-    table (see _korkine_defects)."""
-    mus, ps = _mu_and_kernel(spec)
-    fds = _step_table(spec.ts, f, spec.a, spec.b)[1]
-    return _korkine_defects(mus, ps, fds, spec.b - spec.a)
-
-
 def korkine_residual(spec: KernelSpec, f: Func) -> float:
-    """Korkine rearrangement defect for the pair (P, f^Delta); ~0 always.
+    """cov(P, f^Delta) over [a, b) from the sigma walk, less the one T7
+    reads from the step tables; ~0 always.
 
-    single-route: mean(P f^Delta) - mean(P) mean(f^Delta), means weighted
-    by mu/(b-a); double-route: the symmetrized double sum
-    (1/2W^2) sum_ij mu_i mu_j (P_i - P_j)(F_i - F_j), evaluated as
-    (1/W^2) sum_{i<j} over every unordered pair, in the one pass of
-    korkine_residuals.
+    The walk's cov is mean(P f^Delta) - mean(P) mean(f^Delta), means
+    weighted by mu/(b-a), with f^Delta = (f(sigma(t)) - f(t))/mu at each
+    walked point t.  The tables' is montgomery_lhs/(b-a) less
+    int P/(b-a) * (f(b) - f(a))/(b-a).  By Korkine's identity both equal
+    the symmetrized double sum (1/2W^2) sum_ij mu_i mu_j (P_i - P_j)
+    (F_i - F_j), so only the routes to mu, P and f^Delta can differ: a mu,
+    sigma or split of the window at x that the tables hold wrong shows here.
+    Windows with a dense piece have no walk (ContinuousScale).
     """
-    return korkine_residuals(spec, f)[0]
+    pts, mus, ps = spec._sigma_walk
+    width = spec.b - spec.a
+    fv = [feval(f, t) for t in pts]
+    m_pf = m_p = m_f = 0.0
+    for mu, p, ft, fs in zip(mus, ps, fv, fv[1:]):
+        fd = (fs - ft) / mu
+        m_pf += mu * p * fd
+        m_p += mu * p
+        m_f += mu * fd
+    walk = m_pf / width - (m_p / width) * (m_f / width)
+    drift = (feval(f, spec.b) - feval(f, spec.a)) / width
+    table = montgomery_lhs(spec, f) / width - (spec._moments.int_p / width) * drift
+    return walk - table
 
 
 def kernel_variance_residual(spec: KernelSpec) -> float:
-    """Same two-route check for the pair (P, P): variance of the kernel.
-    The second element of korkine_residuals, without reading any f."""
-    mus, ps = _mu_and_kernel(spec)
-    return _korkine_defects(mus, ps, ps, spec.b - spec.a)[1]
+    """var P over [a, b) from the sigma walk, mean(P**2) - mean(P)**2 with
+    means weighted by mu/(b-a), less int_p2/W - (int_p/W)**2 from the
+    kernel moments that T7 reads; ~0 always.  Like korkine_residual it
+    shows a wrong mu or a wrong split at x in the kernel's step data."""
+    _, mus, ps = spec._sigma_walk
+    width = spec.b - spec.a
+    m_p = m_pp = 0.0
+    for mu, p in zip(mus, ps):
+        m_p += mu * p
+        m_pp += mu * p * p
+    mom = spec._moments
+    return (m_pp / width - (m_p / width) ** 2) - (mom.int_p2 / width - (mom.int_p / width) ** 2)
 
 
 def gruss_variance_check(ts: TimeScale, f: Func, a: float, b: float,
@@ -776,7 +764,7 @@ def _z_integral(spec: KernelSpec, f: Func):
     h = spec.h
 
     def sigma_sum(lo: float, hi: float) -> float:
-        # a plain loop, not sum(): see _korkine_defects
+        # a plain loop, not sum(): see tests/test_plain_loops.py
         total = 0.0
         for t in range(int(lo), int(hi)):
             total += feval(f, t + 1.0) * (feval(h, t + 1.0) - feval(h, float(t)))

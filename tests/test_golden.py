@@ -63,13 +63,13 @@ RUNS = {
         "3eb6e8f5793b3942affac0e88e13351803f7eb630003eca9902be9087143e8ce"),
     "verify-identity": (
         ["verify-identity", "--trials", "40", "--seed", "7"], None, 0,
-        "debba0fb7059549736c090b0ffc7acbda319565aa1c8f235f80db52d88fa6db4"),
+        "1fcfcff8edf4d554f000b7465ac9044688cae770adccb6ae70d211d6a2b4b3fc"),
     "verify-identity-poly": (
         ["verify-identity", "--trials", "40", "--seed", "7"], POLY_ALL_SCALES, 0,
-        "cbcf5912e30a3cea3c8b16036ae429addd593fa3e7b7c822c8dad30c6493e934"),
+        "8a755fc0478116759dd8677070b6212a3854547971f503f75add2f6536100c75"),
     "verify-identity-large": (
         ["verify-identity", "--trials", "4", "--seed", "7"], IDENTITY_LARGE, 0,
-        "646f28684d9ae59ff4c32fd49c5a3bbc120e965ebdd0b9525d2b1fec9a26a000"),
+        "b8ce1c50df16bab6668dd0cb53829212ad77459b656d2b7c18835d2f8361d804"),
     "crosscheck": (
         ["crosscheck", "--trials", "20", "--seed", "5"], None, 0,
         "bed5d6aa1a57d8bf9577041646014ed0b0dbc54a5f1e7b383a20d1bc41ff8cb6"),

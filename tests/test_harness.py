@@ -26,6 +26,7 @@ from delta_ineq import (
     func_to_json,
     gen_random_func,
     gen_random_scale,
+    json_dumps,
     kernel_spec_from_json,
     kernel_spec_to_json,
     replay_witness,
@@ -313,6 +314,25 @@ def test_suites_build_witnesses_only_for_failing_checks(monkeypatch):
                                           variants=(Variant.PAPER_LITERAL,)))
     assert calls["_identity_witness"] == len(failing.failures) > 0
     assert calls["_bound_witness"] == len(literal.findings) + len(literal.failures) > 0
+
+
+def test_korkine_witnesses_replay_bit_exact(monkeypatch):
+    """Every korkine and kernel-variance witness of a suite run, written and
+    read back as JSON, replays to its recorded residual bit for bit."""
+    real_add = harness._IdentityAgg.add
+
+    def failing(self, residual, denom, tol):      # record every check's witness
+        real_add(self, residual, denom, tol)
+        return False
+
+    monkeypatch.setattr(harness._IdentityAgg, "add", failing)
+    rep = run_identity_suite(TrialConfig(seed=3, n_trials=40))
+    failures = json.loads(json_dumps(rep.to_json()))["failures"]
+    witnesses = [w for w in failures if w["check"] in ("korkine", "kernel-variance")]
+    assert {w["check"] for w in witnesses} == {"korkine", "kernel-variance"}
+    assert any(w["residual"] != 0.0 for w in witnesses)
+    for w in witnesses:
+        assert replay_witness(w)["residual"].hex() == float(w["residual"]).hex()
 
 
 def test_suite_report_json_shape():

@@ -1,11 +1,14 @@
-"""Every function that a per-layer metric of BENCHMARK.json names still exists.
+"""Every name the benchmark reads from the package still exists.
 
 The layer tracer wraps the public module-level functions of each package
 module, and the scale classes' ``grid_points`` method, by name; a metric
-whose function is gone marks a traced bench run not correct.  This test
-reads the names only and changes nothing under ``bench/``.
+whose function is gone marks a traced bench run not correct.  The bench
+checker rebuilds each identity check by its label, and refuses a report with
+a label it does not rebuild.  These tests read the names only and change
+nothing under ``bench/``.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -13,7 +16,10 @@ from pathlib import Path
 
 import pytest
 
-BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+from delta_ineq import TrialConfig, run_identity_suite
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
 # aggregates of several functions or of the tracer itself, not one function
 NOT_A_FUNCTION = {"harness.suite", "trace.overhead"}
 
@@ -40,3 +46,32 @@ def test_per_layer_name_is_a_public_function(name):
         return
     fn = getattr(module, attr, None)
     assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+
+
+def _keys_stored(path: Path, function: str, target: str) -> set[str]:
+    """The constant keys that function in path stores into the dict named
+    target, by a dict display assigned to it or by target["key"] = ..."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+    keys = set()
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Assign):
+            continue
+        for tgt in node.targets:
+            if isinstance(tgt, ast.Name) and tgt.id == target and isinstance(node.value, ast.Dict):
+                keys |= {k.value for k in node.value.keys if isinstance(k, ast.Constant)}
+            if (isinstance(tgt, ast.Subscript) and isinstance(tgt.value, ast.Name)
+                    and tgt.value.id == target and isinstance(tgt.slice, ast.Constant)):
+                keys.add(tgt.slice.value)
+    return keys
+
+
+def test_identity_labels_are_rebuilt_by_the_bench_checker():
+    # bench/check.py takes the residuals of bench/exact.identity_residuals
+    # and adds the closed-form crosscheck itself
+    rebuilt = (_keys_stored(ROOT / "bench" / "exact.py", "identity_residuals", "out")
+               | _keys_stored(ROOT / "bench" / "check.py", "check_identity_report", "res"))
+    assert {"korkine", "kernel-variance", "crosscheck"} <= rebuilt
+    labels = set(run_identity_suite(TrialConfig(seed=1, n_trials=1)).checks)
+    assert labels <= rebuilt, sorted(labels - rebuilt)

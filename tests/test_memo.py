@@ -37,7 +37,6 @@ from delta_ineq import (
     kernel_spec_to_json,
     kernel_variance_residual,
     korkine_residual,
-    korkine_residuals,
     montgomery_lhs,
     montgomery_rhs,
     parts_residual,
@@ -46,7 +45,7 @@ from delta_ineq import (
 )
 from delta_ineq.calculus import _step_table, _with_sample
 from delta_ineq.harness import _int_f_gdelta
-from delta_ineq.ostrowski import _kernel_sup
+from delta_ineq.ostrowski import _branch_coeffs, _kernel_sup
 
 CUBIC = Polynomial((0.5, -1.25, 0.75, 0.3))
 QUADRATIC = Polynomial((1.0, 0.5, -2.0))
@@ -428,42 +427,40 @@ def _ref_gruss_variance(spec, f):
     return variance, (0.5 * (max(fds) - min(fds))) ** 2
 
 
-def _pair_term(mus, us, vs, i, j):
-    return mus[i] * mus[j] * (us[i] - us[j]) * (vs[i] - vs[j])
-
-
-def _ref_triangle(mus, us, vs):
-    """The Korkine double sum over the pairs i < j, row by row."""
-    total = 0.0
-    for i in range(len(mus)):
-        for j in range(i + 1, len(mus)):
-            total += _pair_term(mus, us, vs, i, j)
-    return total
-
-
-def _ref_defect(mus, us, vs, width):
-    m_uv = m_u = m_v = 0.0
-    for m, u, v in zip(mus, us, vs):
-        m_uv += m * u * v
-        m_u += m * u
-        m_v += m * v
-    double = _ref_triangle(mus, us, vs) / (width * width)
-    return m_uv / width - (m_u / width) * (m_v / width) - double
-
-
 def _ref_mu_p(spec):
     kernel = _ref_kernel(spec)
     return [mu for mu, _ in kernel], [p for _, p in kernel]
 
 
+def _ref_walk(spec, f):
+    """(mu, P, f^Delta) per step, each evaluated point by point."""
+    return [(mu, p, (feval(f, nxt) - feval(f, t)) / mu)
+            for (t, nxt), (mu, p) in zip(_ref_steps(spec.ts, spec.a, spec.b), _ref_kernel(spec))]
+
+
 def _ref_korkine(spec, f):
-    mus, ps = _ref_mu_p(spec)
-    return _ref_defect(mus, ps, _ref_fds(spec.ts, f, spec.a, spec.b), spec.b - spec.a)
+    """cov(P, f^Delta) point by point, less the cov formed from the
+    Montgomery lhs, int P and f(b) - f(a)."""
+    width = spec.b - spec.a
+    m_pf = m_p = m_f = 0.0
+    for mu, p, fd in _ref_walk(spec, f):
+        m_pf += mu * p * fd
+        m_p += mu * p
+        m_f += mu * fd
+    drift = (feval(f, spec.b) - feval(f, spec.a)) / width
+    table = _ref_lhs(spec, f) / width - (_ref_moments(spec)[0] / width) * drift
+    return m_pf / width - (m_p / width) * (m_f / width) - table
 
 
 def _ref_kernel_variance(spec):
-    mus, ps = _ref_mu_p(spec)
-    return _ref_defect(mus, ps, ps, spec.b - spec.a)
+    """var P point by point, less the var formed from int P and int P**2."""
+    width = spec.b - spec.a
+    m_p = m_pp = 0.0
+    for mu, p in _ref_kernel(spec):
+        m_p += mu * p
+        m_pp += mu * p * p
+    i1, _, i2 = _ref_moments(spec)
+    return (m_pp / width - (m_p / width) ** 2) - (i2 / width - (i1 / width) ** 2)
 
 
 def _ref_parts(spec, f, g):
@@ -555,7 +552,7 @@ def test_function_keeps_one_step_table_per_scale_and_window():
 
 
 # ---------------------------------------------------------------------------
-# the Korkine double route sums each unordered pair once
+# Korkine's identity: the per-point cov equals the double sum over the pairs
 
 
 def _integer_large():
@@ -567,15 +564,57 @@ def _integer_large():
 
 
 KORKINE_CASES = {**DISCRETE_CASES, "integer-large": _integer_large}
+U = 2.0 ** -53
+
+
+def _pair_term(mus, us, vs, i, j):
+    return mus[i] * mus[j] * (us[i] - us[j]) * (vs[i] - vs[j])
+
+
+def _ref_triangle(mus, us, vs):
+    """The Korkine double sum over the pairs i < j, row by row."""
+    total = 0.0
+    for i in range(len(mus)):
+        for j in range(i + 1, len(mus)):
+            total += _pair_term(mus, us, vs, i, j)
+    return total
+
+
+def _table_cov(spec, f):
+    """cov(P, f^Delta) as T7 forms it, from the lhs, int P and f(b) - f(a)."""
+    width = spec.b - spec.a
+    drift = (feval(f, spec.b) - feval(f, spec.a)) / width
+    return montgomery_lhs(spec, f) / width - (kernel_moments(spec).int_p / width) * drift
+
+
+def _table_var(spec):
+    width = spec.b - spec.a
+    mom = kernel_moments(spec)
+    return mom.int_p2 / width - (mom.int_p / width) ** 2
+
+
+def _cov_magnitude(mus, us, vs, width):
+    """The sum of |term| of mean(uv) - mean(u) mean(v), means over width."""
+    s_uv = s_u = s_v = 0.0
+    for m, u, v in zip(mus, us, vs):
+        s_uv += abs(m * u * v)
+        s_u += abs(m * u)
+        s_v += abs(m * v)
+    return s_uv / width + s_u * s_v / (width * width)
 
 
 @pytest.mark.parametrize("case", sorted(KORKINE_CASES))
 def test_korkine_triangle_is_half_the_full_square(case):
+    """Korkine's identity, with the double sum over the pairs as the test's
+    own route: the cov and var each check's walk forms (the table's plus
+    the residual) equal it within n * n * u of the summed |terms|."""
     spec, f, g = KORKINE_CASES[case]()
     mus, ps = _ref_mu_p(spec)
-    n = len(mus)
-    u = 2.0 ** -53
-    for vs in (_ref_fds(spec.ts, f, spec.a, spec.b), _ref_fds(spec.ts, g, spec.a, spec.b), ps):
+    n, width = len(mus), spec.b - spec.a
+    walked = [(_ref_fds(spec.ts, fn, spec.a, spec.b),
+               _table_cov(spec, fn) + korkine_residual(spec, fn)) for fn in (f, g)]
+    walked.append((ps, _table_var(spec) + kernel_variance_residual(spec)))
+    for vs, walk in walked:
         full = magnitude = 0.0
         for i in range(n):
             assert _pair_term(mus, ps, vs, i, i) == 0.0
@@ -586,25 +625,83 @@ def test_korkine_triangle_is_half_the_full_square(case):
                 assert term == _pair_term(mus, ps, vs, j, i)
                 full += term
                 magnitude += abs(term)
-        assert abs(2.0 * _ref_triangle(mus, ps, vs) - full) <= n * n * u * magnitude
-    assert _bits(korkine_residual(spec, f)) == _bits(_ref_korkine(spec, f))
-    assert _bits(kernel_variance_residual(spec)) == _bits(_ref_kernel_variance(spec))
+        triangle = _ref_triangle(mus, ps, vs)
+        assert abs(2.0 * triangle - full) <= n * n * U * magnitude
+        e = n * n * U * (magnitude / (width * width) + _cov_magnitude(mus, ps, vs, width))
+        assert abs(walk - triangle / (width * width)) <= e
 
 
 # ---------------------------------------------------------------------------
-# one pass over the pairs serves (P, f^Delta) and (P, P)
+# one sigma walk per spec serves (P, f^Delta) and (P, P)
 
 
 @pytest.mark.parametrize("case", sorted(KORKINE_CASES))
 def test_fused_korkine_pass_matches_both_references(case):
     spec, f, g = KORKINE_CASES[case]()
     want_var = _bits(_ref_kernel_variance(spec))
-    for _ in range(2):                  # cold kernel and tables, then warm ones
+    for _ in range(2):                  # cold walk and tables, then warm ones
         for fn in (f, g, spec.h):
-            got = korkine_residuals(spec, fn)
-            assert _bits(got) == (_bits(_ref_korkine(spec, fn)), want_var)
-            assert _bits(korkine_residual(spec, fn)) == _bits(got[0])
-            assert _bits(kernel_variance_residual(spec)) == _bits(got[1])
+            assert _bits(korkine_residual(spec, fn)) == _bits(_ref_korkine(spec, fn))
+            assert _bits(kernel_variance_residual(spec)) == want_var
+    pts, mus, ps = vars(spec)["_sigma_walk"]
+    assert pts == [t for t, _ in _ref_steps(spec.ts, spec.a, spec.b)] + [spec.b]
+    assert _bits((tuple(mus), tuple(ps))) == _bits(tuple(map(tuple, _ref_mu_p(spec))))
+
+
+# ---------------------------------------------------------------------------
+# the walk catches a step table that is wrong
+
+
+def _corrupt(spec, mus, k):
+    """Give spec the step data _grid would hold with these mu and this
+    split k at x, before anything reads it; P by its branch at each step."""
+    c1, c2 = _branch_coeffs(spec)
+    _, _, hds, _, dense = spec._grid
+    hv = _step_table(spec.ts, spec.h, spec.a, spec.b)[2]
+    ps = [c1 * (hv[i] - hv[0]) if i < k else -c2 * (hv[-1] - hv[i]) for i in range(len(mus))]
+    vars(spec)["_grid"] = (mus, ps, hds, k, dense)
+
+
+def _shift_mu(spec):
+    """mu of the first two steps moved by +-delta, their total width kept."""
+    mus, _, _, k, _ = spec._grid
+    delta = 0.25 * min(mus[0], mus[1])
+    return [mus[0] + delta, mus[1] - delta] + mus[2:], k
+
+
+def _shift_k(spec):
+    """The split at x one step off, to the right unless x is b."""
+    mus, _, _, k, _ = spec._grid
+    return list(mus), k + 1 if k < len(mus) else k - 1
+
+
+# A constant h makes P vanish at every step, so no table of it can be wrong.
+CORRUPTIBLE = sorted(name for name in DISCRETE_CASES if not name.endswith("constant-h"))
+
+
+def _residual_bounds(spec, f):
+    """n * u times the summed |terms| of both routes of each check."""
+    mus, ps = _ref_mu_p(spec)
+    n, width = len(mus), spec.b - spec.a
+    fds = _ref_fds(spec.ts, f, spec.a, spec.b)
+    drift_terms = (sum(abs(mu * p) for mu, p in zip(mus, ps))
+                   * (abs(feval(f, spec.b)) + abs(feval(f, spec.a))) / (width * width))
+    korkine = 2.0 * _cov_magnitude(mus, ps, fds, width) + drift_terms
+    variance = 2.0 * _cov_magnitude(mus, ps, ps, width)
+    return n * U * korkine, n * U * variance
+
+
+@pytest.mark.parametrize("shift", [_shift_mu, _shift_k], ids=["mu", "k"])
+@pytest.mark.parametrize("case", CORRUPTIBLE)
+def test_walk_flags_a_wrong_step_table(case, shift):
+    spec, f, _ = _fresh(*DISCRETE_CASES[case]())
+    e_korkine, e_variance = _residual_bounds(spec, f)
+    assert abs(korkine_residual(spec, f)) <= e_korkine
+    assert abs(kernel_variance_residual(spec)) <= e_variance
+    bad, f, _ = _fresh(*DISCRETE_CASES[case]())
+    _corrupt(bad, *shift(bad))
+    assert abs(korkine_residual(bad, f)) > max(e_korkine, 1e-10)
+    assert abs(kernel_variance_residual(bad)) > max(e_variance, 1e-10)
 
 
 @pytest.mark.parametrize("case", sorted(DISCRETE_CASES))

@@ -60,6 +60,7 @@ from delta_ineq.ostrowski import (
     _mean_side,
     _roots_in,
 )
+from test_memo import _residual_bounds
 
 T_SQUARED = Polynomial((0.0, 0.0, 1.0))
 IDENT = Polynomial((0.0, 1.0))
@@ -503,10 +504,11 @@ def test_gruss_variance_worked(worked):
 @given(random_spec_and_funcs())
 @settings(max_examples=100, deadline=None)
 def test_korkine_residual_property(arg):
+    # n * u times the summed |terms| of both routes (first-order round-off)
     spec, f = arg
-    mom = kernel_moments(spec)
-    scale = max(1.0, mom.int_abs_p)
-    assert abs(korkine_residual(spec, f)) <= 1e-9 * scale * 8.0
+    e_korkine, e_variance = _residual_bounds(spec, f)
+    assert abs(korkine_residual(spec, f)) <= e_korkine
+    assert abs(kernel_variance_residual(spec)) <= e_variance
 
 
 # ------------------------------------------------------------- closed forms
