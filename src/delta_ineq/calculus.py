@@ -26,7 +26,7 @@ from .errors import (
     MissingSample,
     NotDifferentiable,
 )
-from .timescale import RealInterval, TimeScale
+from .timescale import RealInterval, TimeScale, _json_array
 
 # ---------------------------------------------------------------------------
 # plain polynomial coefficient arithmetic (ascending order)
@@ -138,12 +138,13 @@ def func_from_json(obj: dict) -> Func:
     rep = obj["repr"]
     try:
         if rep == "poly":
-            return Polynomial(coeffs=tuple(obj["coeffs"]))
+            return Polynomial(coeffs=_json_array(obj["coeffs"], "coeffs"))
         if rep == "sampled":
-            return Sampled(table={t: v for t, v in obj["table"]})
+            return Sampled(table=dict(_json_array(pair, "table entry", 2)
+                                      for pair in _json_array(obj["table"], "table")))
     except KeyError as exc:
         raise ConfigError(f"function JSON missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad function JSON: {exc}") from exc
     raise ConfigError(f"unknown function repr {rep!r}")
 

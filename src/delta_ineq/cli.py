@@ -26,7 +26,7 @@ from .harness import (
 )
 from .ostrowski import (
     Variant,
-    delta_derivative_range,
+    _check_bracket,
     evaluate_bounds,
     kernel_moments,
     kernel_spec_from_json,
@@ -176,13 +176,8 @@ def _run_eval(ns: argparse.Namespace) -> int:
     f = func_from_json(file_obj["f"])
     g = func_from_json(file_obj["g"]) if "g" in file_obj else f
     settings = config_from_json(_overlay({}, ns, ("tolerance", "variants")))
-    gamma = file_obj.get("gamma")
-    big_gamma = file_obj.get("big_gamma")
-    exact_lo, exact_hi = delta_derivative_range(spec.ts, f, spec.a, spec.b)
-    if gamma is None:
-        gamma = exact_lo
-    if big_gamma is None:
-        big_gamma = exact_hi
+    gamma, big_gamma = _check_bracket(spec.ts, f, spec.a, spec.b,
+                                      file_obj.get("gamma"), file_obj.get("big_gamma"))
 
     lhs = montgomery_lhs(spec, f)
     rhs = montgomery_rhs(spec, f)

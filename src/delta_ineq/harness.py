@@ -31,6 +31,8 @@ from .calculus import (
 from .errors import ConfigError, UnsupportedTheorem
 from .ostrowski import (
     BOUNDS,
+    FAMILIES,
+    READS_G,
     THEOREMS,
     BoundReport,
     KernelSpec,
@@ -39,6 +41,7 @@ from .ostrowski import (
     delta_derivative_range,
     evaluate_bounds,
     gruss_variance_check,
+    identity_residual,
     kernel_moments,
     kernel_spec_from_json,
     kernel_spec_to_json,
@@ -52,7 +55,9 @@ from .timescale import (
     IntegerInterval,
     QLattice,
     RealInterval,
+    SCALE_KINDS,
     TimeScale,
+    _json_array,
     scale_from_json,
     scale_to_json,
 )
@@ -114,7 +119,6 @@ def trial_rng(seed: int, index: int) -> SplitMix64:
 # configuration
 
 
-SCALE_FAMILIES = ("grid", "integer", "qlattice", "real")
 FUNC_KINDS = ("sampled", "poly")
 
 
@@ -176,7 +180,7 @@ class TrialConfig:
             if not self.scale_families:
                 raise ConfigError("scale_families must not be empty")
             for fam in self.scale_families:
-                if fam not in SCALE_FAMILIES:
+                if not isinstance(fam, str) or fam not in SCALE_KINDS:
                     raise ConfigError(f"unknown scale family {fam!r}")
         continuous = (isinstance(self.fixed_scale, RealInterval)
                       or (self.fixed_scale is None and "real" in self.scale_families))
@@ -226,7 +230,7 @@ def config_from_json(obj: dict, suite: str = "bounds") -> TrialConfig:
             n_trials=int(obj.get("trials", base.n_trials)),
             tolerance=float(obj.get("tolerance", base.tolerance)),
             scale_families=tuple(obj.get("scales", base.scale_families)),
-            size_range=tuple(obj.get("size_range", base.size_range)),
+            size_range=_json_array(obj.get("size_range", base.size_range), "size_range", 2),
             func_family=_family_from_json(obj.get("func", {}), base.func_family, func_keys),
             weight_family=_family_from_json(obj.get("weight", {}), base.weight_family),
             variants=tuple(obj.get("variants", [v.value for v in base.variants])),
@@ -493,69 +497,64 @@ def _identity_witness(seed: int, trial: int, check: str, spec: KernelSpec,
     }
 
 
-def run_identity_suite(config: TrialConfig) -> SuiteReport:
-    """Exactness checks: Montgomery identity, integration by parts, the
-    product rule, the Korkine rearrangement, the kernel-variance identity,
-    the variance envelope, and family closed-form cross-checks."""
-    labels = ("montgomery-identity", "integration-by-parts", "product-rule",
-              "korkine", "kernel-variance", "variance-envelope", "crosscheck")
-    rec = _Recorder("identity", config, {name: _IdentityAgg() for name in labels})
+def _variance_envelope(spec: KernelSpec, f: Func, w: dict) -> tuple[float, float]:
+    variance, bound = gruss_variance_check(spec.ts, f, spec.a, spec.b)
+    return max(0.0, variance - bound), max(1.0, bound)
 
-    def check(label: str, residual: float, denom: float, **extra) -> None:
-        """Record one check of the current trial i on (spec, f)."""
-        rec.check(label, lambda: _identity_witness(config.seed, i, label, spec, f,
-                                                   residual, denom, **extra),
-                  residual, denom)
+
+def _crosscheck(spec: KernelSpec, f: Func, w: dict) -> tuple[float, float] | None:
+    if w["family"] is None:
+        return None
+    closed = closed_form_rhs(spec, f, w["family"])
+    return montgomery_rhs(spec, f) - closed, max(1.0, abs(closed))
+
+
+# label: (the witness fields the check reads, (spec, f, fields) -> (residual,
+# denominator) or None where it does not apply), in report order.  The sigma
+# walk needs no dense piece (spec._grid[4]).  The suite and replay_witness run it.
+IDENTITY_CHECKS = {
+    "montgomery-identity": ((), lambda spec, f, w: (
+        identity_residual(spec, f), max(1.0, abs(montgomery_lhs(spec, f))))),
+    "integration-by-parts": ((), lambda spec, f, w: (
+        parts_residual(spec.ts, f, spec.h, spec.a, spec.b),
+        max(1.0, abs(_int_f_gdelta(spec, f, spec.h))))),
+    "product-rule": (("t",), lambda spec, f, w: (
+        product_rule_residual(spec.ts, f, spec.h, w["t"]),
+        max(1.0, abs(_product_delta(spec.ts, f, spec.h, w["t"]))))),
+    "korkine": ((), lambda spec, f, w: None if spec._grid[4] else (
+        korkine_residual(spec, f), max(1.0, abs(montgomery_lhs(spec, f)) / (spec.b - spec.a)))),
+    "kernel-variance": ((), lambda spec, f, w: None if spec._grid[4] else (
+        kernel_variance_residual(spec),
+        max(1.0, kernel_moments(spec).int_p2 / (spec.b - spec.a)))),
+    "variance-envelope": ((), _variance_envelope),
+    "crosscheck": (("family",), _crosscheck),
+}
+
+
+def run_identity_suite(config: TrialConfig) -> SuiteReport:
+    """Every row of IDENTITY_CHECKS on each trial; t is drawn per trial."""
+    rec = _Recorder("identity", config, {label: _IdentityAgg() for label in IDENTITY_CHECKS})
 
     for i in range(config.n_trials):
         rng = trial_rng(config.seed, i)
         spec, f, _ = _draw_trial(rng, config, with_g=False)
-        ts = spec.ts
-
-        lhs = montgomery_lhs(spec, f)
-        rhs = montgomery_rhs(spec, f)
-        check("montgomery-identity", lhs - rhs, max(1.0, abs(lhs)))
-        check("integration-by-parts", parts_residual(ts, f, spec.h, spec.a, spec.b),
-              max(1.0, abs(_int_f_gdelta(spec, f, spec.h))))
-
-        steps, dense = ts.pieces(spec.a, spec.b)
-        if dense:
-            t_probe = spec.a + rng.uniform(0.1, 0.9) * (spec.b - spec.a)
-        else:
-            t_probe = rng.choice(steps)
-        check("product-rule", product_rule_residual(ts, f, spec.h, t_probe),
-              max(1.0, abs(_product_delta(ts, f, spec.h, t_probe))), t=t_probe)
-
-        if not dense:
-            mom = kernel_moments(spec)
-            width = spec.b - spec.a
-            check("korkine", korkine_residual(spec, f), max(1.0, abs(lhs) / width))
-            check("kernel-variance", kernel_variance_residual(spec),
-                  max(1.0, mom.int_p2 / width))
-
-        variance, bound = gruss_variance_check(ts, f, spec.a, spec.b)
-        check("variance-envelope", max(0.0, variance - bound), max(1.0, bound))
-
-        family = _family_of(ts)
-        if family is not None:
-            closed = closed_form_rhs(spec, f, family)
-            check("crosscheck", rhs - closed, max(1.0, abs(closed)), family=family)
+        steps, dense = spec.ts.pieces(spec.a, spec.b)
+        trial = {
+            "t": spec.a + rng.uniform(0.1, 0.9) * (spec.b - spec.a) if dense
+            else rng.choice(steps),
+            "family": next((fam for fam, (scale_class, _) in FAMILIES.items()
+                            if isinstance(spec.ts, scale_class)), None),
+        }
+        for label, (keys, measure) in IDENTITY_CHECKS.items():
+            w = {key: trial[key] for key in keys}
+            measured = measure(spec, f, w)
+            if measured is not None:
+                rec.check(label, lambda: _identity_witness(config.seed, i, label, spec, f,
+                                                           *measured, **w), *measured)
         # let this trial's tables and sigma walk go before the next is drawn
         spec = f = None
 
     return rec.report()
-
-
-def _family_of(ts: TimeScale) -> str | None:
-    """The closed-form family of a suite's scale.  On a real interval the
-    suites hold polynomial f and h only (TrialConfig, gen_random_func)."""
-    if isinstance(ts, IntegerInterval):
-        return "Z"
-    if isinstance(ts, QLattice):
-        return "Q"
-    if isinstance(ts, RealInterval):
-        return "R"
-    return None
 
 
 def bound_row(trial: int, rep: BoundReport, spec: KernelSpec, tol: float) -> dict:
@@ -622,24 +621,21 @@ def run_bound_suite(config: TrialConfig, keep_rows: bool = False) -> SuiteReport
                 rec.rows.append(bound_row(i, rep, spec, config.tolerance))
             rec.check(f"{rep.theorem}/{rep.variant.value}",
                       lambda: _bound_witness(config.seed, i, rep, spec, f,
-                                             g if _needs_g(rep.theorem) else None,
+                                             g if rep.theorem in READS_G else None,
                                              gamma, big_gamma),
                       rep, finding=rep.variant is not Variant.CORRECTED)
 
     return rec.report()
 
 
-def run_crosscheck_suite(config: TrialConfig, families: tuple[str, ...] = ("Z", "Q", "R")) -> SuiteReport:
-    """montgomery_rhs vs the family closed forms on family-matched draws."""
-    rec = _Recorder("crosscheck", config, {fam: _IdentityAgg() for fam in families})
-    family_scale = {"Z": ("integer",), "Q": ("qlattice",), "R": ("real",)}
+def run_crosscheck_suite(config: TrialConfig) -> SuiteReport:
+    """montgomery_rhs vs each family's closed form on draws of its scale class."""
+    rec = _Recorder("crosscheck", config, {fam: _IdentityAgg() for fam in FAMILIES})
 
-    for fam in families:
-        if fam not in family_scale:
-            raise ConfigError(f"unknown crosscheck family {fam!r}")
+    for fam, (scale_class, _) in FAMILIES.items():
         fam_config = dataclasses.replace(
             config,
-            scale_families=family_scale[fam],
+            scale_families=(scale_class.kind,),
             func_family=dataclasses.replace(
                 config.func_family, kind="poly" if fam == "R" else config.func_family.kind),
             weight_family=dataclasses.replace(
@@ -688,10 +684,6 @@ class SharpnessResult:
         return dataclasses.asdict(self)
 
 
-def _needs_g(theorem: str) -> bool:
-    return theorem in ("T6a", "T6b")
-
-
 def _sharpness_ratio(theorem: str, spec: KernelSpec, f: Func, g: Func | None,
                      tol: float) -> float:
     rep = BOUNDS[theorem](spec, f, g, Variant.CORRECTED, None, None)
@@ -721,7 +713,7 @@ def sharpness_search(theorem: str, spec: KernelSpec, config: TrialConfig) -> Sha
     pts = steps + [spec.b]
     r = config.func_family.value_range
     f = Sampled(table={t: rng.uniform(-r, r) for t in pts})
-    g = Sampled(table={t: rng.uniform(-r, r) for t in pts}) if _needs_g(theorem) else None
+    g = Sampled(table={t: rng.uniform(-r, r) for t in pts}) if theorem in READS_G else None
     tol = config.tolerance
 
     def score(ff: Func, gg: Func | None) -> float:
@@ -780,10 +772,19 @@ def sharpness_search(theorem: str, spec: KernelSpec, config: TrialConfig) -> Sha
 # witness replay
 
 
+class _Witness(dict):
+    """A witness whose missing field is a ConfigError naming it."""
+
+    def __missing__(self, name: str):
+        raise ConfigError(f"witness missing field {name!r}")
+
+
 def replay_witness(witness: dict) -> dict:
-    """Recompute a recorded witness standalone; returns the fresh numbers."""
+    """Recompute a recorded witness standalone; returns the fresh numbers.
+    An identity witness is replayed through its row of IDENTITY_CHECKS."""
     if not isinstance(witness, dict) or "kind" not in witness:
         raise ConfigError("witness must be an object with a 'kind' field")
+    witness = _Witness(witness)
     kind = witness["kind"]
     spec = kernel_spec_from_json(witness["spec"])
     f = func_from_json(witness["f"])
@@ -797,24 +798,12 @@ def replay_witness(witness: dict) -> dict:
         return {"lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack}
     if kind == "identity":
         check = witness["check"]
-        if check == "montgomery-identity":
-            residual = montgomery_lhs(spec, f) - montgomery_rhs(spec, f)
-        elif check == "integration-by-parts":
-            residual = parts_residual(spec.ts, f, spec.h, spec.a, spec.b)
-        elif check == "product-rule":
-            residual = product_rule_residual(spec.ts, f, spec.h, witness["t"])
-        elif check == "korkine":
-            residual = korkine_residual(spec, f)
-        elif check == "kernel-variance":
-            residual = kernel_variance_residual(spec)
-        elif check == "variance-envelope":
-            variance, bound = gruss_variance_check(spec.ts, f, spec.a, spec.b)
-            residual = max(0.0, variance - bound)
-        elif check == "crosscheck":
-            residual = montgomery_rhs(spec, f) - closed_form_rhs(spec, f, witness["family"])
-        else:
+        if check not in IDENTITY_CHECKS:
             raise ConfigError(f"unknown identity check {check!r}")
-        return {"residual": residual}
+        measured = IDENTITY_CHECKS[check][1](spec, f, witness)
+        if measured is None:
+            raise ConfigError(f"identity check {check!r} does not apply to this witness")
+        return {"residual": measured[0]}
     if kind == "crosscheck":
         generic = montgomery_rhs(spec, f)
         closed = closed_form_rhs(spec, f, witness["family"])

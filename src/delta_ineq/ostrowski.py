@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -235,7 +236,7 @@ def kernel_spec_from_json(obj: dict) -> KernelSpec:
         )
     except KeyError as exc:
         raise ConfigError(f"kernel spec JSON missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad kernel spec JSON: {exc}") from exc
 
 
@@ -463,6 +464,11 @@ def _kernel_sup(spec: KernelSpec, f: Func) -> float:
 
 def _check_bracket(ts: TimeScale, f: Func, a: float, b: float,
                    gamma: float | None, big_gamma: float | None) -> tuple[float, float]:
+    """(gamma, Gamma), an end given as None taken from the range of f^Delta."""
+    for end in (gamma, big_gamma):
+        if end is not None and not (isinstance(end, (int, float))
+                                    and abs(end) <= sys.float_info.max):
+            raise InvalidBounds(f"gamma and Gamma must be finite numbers, got {end!r}")
     lo, hi = delta_derivative_range(ts, f, a, b)
     if gamma is None:
         gamma = lo
@@ -621,9 +627,10 @@ def bound_t8(spec: KernelSpec, f: Func, gamma: float | None = None,
 
 
 # Evaluator per theorem id, called as (spec, f, g, variant, gamma, big_gamma).
-# Only the product bounds read g, only T7-Gruss and T8 read the bracket
-# [gamma, Gamma] (None: the exact range of f^Delta).  T7 and T8 are printed
-# weight-scale invariant: they ignore the variant and tag reports CORRECTED.
+# Only the product bounds (READS_G) read g, only T7-Gruss and T8 read the
+# bracket [gamma, Gamma] (None: the exact range of f^Delta).  T7 and T8 are
+# printed weight-scale invariant (VARIANT_FREE): they ignore the variant and
+# tag reports CORRECTED.
 BOUNDS = {
     "T5": lambda spec, f, g, variant, gamma, big_gamma: bound_t5(spec, f, variant),
     "T6a": lambda spec, f, g, variant, gamma, big_gamma: bound_t6a(spec, f, g, variant),
@@ -635,6 +642,7 @@ BOUNDS = {
 }
 THEOREMS = tuple(BOUNDS)
 VARIANT_FREE = ("T7-L2", "T7-Gruss", "T8")
+READS_G = ("T6a", "T6b")
 
 
 def evaluate_bounds(spec: KernelSpec, f: Func, g: Func, variants: tuple[Variant, ...],
@@ -741,9 +749,12 @@ def closed_form_rhs(spec: KernelSpec, f: Func, family: str) -> float:
     cached one), S(f) and f(x) B/w - S(f)/w are formed here once.
     Independent of the generic delta engine, for cross-checking.
     """
-    if family not in _FAMILY_INTEGRALS:
+    if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r} (expected 'Z', 'Q', or 'R')")
-    integral = _FAMILY_INTEGRALS[family](spec, f)
+    scale_class, integral_of = FAMILIES[family]
+    if not isinstance(spec.ts, scale_class):
+        raise FamilyMismatch(f"family {family!r} needs a scale of kind {scale_class.kind!r}")
+    integral = integral_of(spec, f)
     h, a, b, x = spec.h, spec.a, spec.b, spec.x
     w = spec.alpha + spec.beta
     bracket = 0.0
@@ -758,9 +769,6 @@ def closed_form_rhs(spec: KernelSpec, f: Func, family: str) -> float:
 
 
 def _z_integral(spec: KernelSpec, f: Func):
-    if not isinstance(spec.ts, IntegerInterval):
-        raise FamilyMismatch("family 'Z' needs an integer interval scale")
-
     h = spec.h
 
     def sigma_sum(lo: float, hi: float) -> float:
@@ -775,8 +783,6 @@ def _z_integral(spec: KernelSpec, f: Func):
 
 def _q_integral(spec: KernelSpec, f: Func):
     ts = spec.ts
-    if not isinstance(ts, QLattice):
-        raise FamilyMismatch("family 'Q' needs a q-lattice scale")
     q = ts.q
 
     def jackson_mean(lo: float, hi: float) -> float:
@@ -793,17 +799,16 @@ def _q_integral(spec: KernelSpec, f: Func):
 
 
 def _r_integral(spec: KernelSpec, f: Func):
-    if not isinstance(spec.ts, RealInterval):
-        raise FamilyMismatch("family 'R' needs a real interval scale")
     if not (isinstance(f, Polynomial) and isinstance(spec.h, Polynomial)):
         raise FamilyMismatch("family 'R' needs polynomial f and h")
     hd_f = poly_mul(poly_derive(spec.h.coeffs), f.coeffs)
     return lambda lo, hi: poly_definite(hd_f, lo, hi)
 
 
-# Per family: (spec, f) -> its integral of h^Delta f(sigma) over [lo, hi),
-# after the family's own FamilyMismatch checks.
-_FAMILY_INTEGRALS = {"Z": _z_integral, "Q": _q_integral, "R": _r_integral}
+# Per family: its scale class, and (spec, f) -> its integral of h^Delta
+# f(sigma) over [lo, hi) on a scale of that class.
+FAMILIES = {"Z": (IntegerInterval, _z_integral), "Q": (QLattice, _q_integral),
+            "R": (RealInterval, _r_integral)}
 
 
 def reduction_weighted_ostrowski(ts: TimeScale, f: Func, h: Func,

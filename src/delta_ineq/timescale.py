@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 from .errors import ConfigError, ContinuousScale, EmptyRange, NotInScale
 
@@ -134,6 +134,7 @@ class _ScaleBase:
 class FiniteGrid(_ScaleBase):
     """Explicit strictly increasing grid of at least two finite points."""
 
+    kind: ClassVar[str] = "grid"
     points: tuple[float, ...]
 
     def __post_init__(self) -> None:
@@ -145,10 +146,6 @@ class FiniteGrid(_ScaleBase):
         if any(u >= v for u, v in zip(pts, pts[1:])):
             raise ConfigError("FiniteGrid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
-
-    @property
-    def kind(self) -> str:
-        return "grid"
 
     @property
     def min_point(self) -> float:
@@ -185,6 +182,7 @@ class FiniteGrid(_ScaleBase):
 class IntegerInterval(_ScaleBase):
     """The integers lo, lo+1, ..., hi."""
 
+    kind: ClassVar[str] = "integer"
     lo: int
     hi: int
 
@@ -193,10 +191,6 @@ class IntegerInterval(_ScaleBase):
             raise ConfigError("IntegerInterval bounds must be integers")
         if self.lo >= self.hi:
             raise ConfigError("IntegerInterval needs lo < hi")
-
-    @property
-    def kind(self) -> str:
-        return "integer"
 
     @property
     def min_point(self) -> float:
@@ -237,6 +231,7 @@ class QLattice(_ScaleBase):
     canonical power.
     """
 
+    kind: ClassVar[str] = "qlattice"
     q: float
     kmin: int
     kmax: int
@@ -255,10 +250,6 @@ class QLattice(_ScaleBase):
         if not representable:
             raise ConfigError(f"QLattice points q**{self.kmin} .. q**{self.kmax} "
                               "must be finite nonzero floats")
-
-    @property
-    def kind(self) -> str:
-        return "qlattice"
 
     @property
     def min_point(self) -> float:
@@ -303,6 +294,7 @@ class QLattice(_ScaleBase):
 class RealInterval(_ScaleBase):
     """The continuum [lo, hi] with finite ends; every interior point is dense."""
 
+    kind: ClassVar[str] = "real"
     lo: float
     hi: float
 
@@ -313,10 +305,6 @@ class RealInterval(_ScaleBase):
         object.__setattr__(self, "hi", float(self.hi))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ConfigError("RealInterval ends must be finite")
-
-    @property
-    def kind(self) -> str:
-        return "real"
 
     @property
     def min_point(self) -> float:
@@ -354,17 +342,31 @@ class RealInterval(_ScaleBase):
 TimeScale = Union[FiniteGrid, IntegerInterval, QLattice, RealInterval]
 
 
+def _json_array(value, what: str, n: int | None = None):
+    """value if it is a JSON array (list or tuple), of n entries unless n is None;
+    anything else, a string too, is a ConfigError."""
+    if not isinstance(value, (list, tuple)) or n not in (None, len(value)):
+        raise ConfigError(f"{what} must be a JSON array" + (f" of {n} entries" if n else ""))
+    return value
+
+
+# kind: (scale class, {JSON field: its parser}), the fields in wire order
+# after "kind"; scale_to_json and scale_from_json read only this table.
+SCALE_KINDS = {cls.kind: (cls, fields) for cls, fields in (
+    (FiniteGrid, {"points": lambda v: _json_array(v, "grid points")}),
+    (IntegerInterval, {"lo": int, "hi": int}),
+    (QLattice, {"q": float, "kmin": int, "kmax": int}),
+    (RealInterval, {"lo": float, "hi": float}),
+)}
+
+
 def scale_to_json(ts: TimeScale) -> dict:
     """Serialize a scale to its wire form (see scale_from_json)."""
-    if isinstance(ts, FiniteGrid):
-        return {"kind": "grid", "points": list(ts.points)}
-    if isinstance(ts, IntegerInterval):
-        return {"kind": "integer", "lo": ts.lo, "hi": ts.hi}
-    if isinstance(ts, QLattice):
-        return {"kind": "qlattice", "q": ts.q, "kmin": ts.kmin, "kmax": ts.kmax}
-    if isinstance(ts, RealInterval):
-        return {"kind": "real", "lo": ts.lo, "hi": ts.hi}
-    raise ConfigError(f"unknown scale object {ts!r}")
+    out = {"kind": ts.kind}
+    for name in SCALE_KINDS[ts.kind][1]:
+        value = getattr(ts, name)
+        out[name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def scale_from_json(obj: dict) -> TimeScale:
@@ -372,17 +374,12 @@ def scale_from_json(obj: dict) -> TimeScale:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("scale JSON must be an object with a 'kind' field")
     kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in SCALE_KINDS:
+        raise ConfigError(f"unknown scale kind {kind!r}")
+    cls, fields = SCALE_KINDS[kind]
     try:
-        if kind == "grid":
-            return FiniteGrid(points=tuple(obj["points"]))
-        if kind == "integer":
-            return IntegerInterval(lo=int(obj["lo"]), hi=int(obj["hi"]))
-        if kind == "qlattice":
-            return QLattice(q=float(obj["q"]), kmin=int(obj["kmin"]), kmax=int(obj["kmax"]))
-        if kind == "real":
-            return RealInterval(lo=float(obj["lo"]), hi=float(obj["hi"]))
+        return cls(**{name: parse(obj[name]) for name, parse in fields.items()})
     except KeyError as exc:
         raise ConfigError(f"scale JSON missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scale JSON: {exc}") from exc
-    raise ConfigError(f"unknown scale kind {kind!r}")

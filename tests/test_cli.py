@@ -405,6 +405,19 @@ def test_eval_rejects_bad_bracket(tmp_path):
     assert run(["eval", "--config", str(cfgf)]) == 1
 
 
+@pytest.mark.parametrize("bracket", [{"gamma": "abc"}, {"big_gamma": "abc"},
+                                     {"gamma": float("nan")}, {"big_gamma": float("nan")}],
+                         ids=["gamma-text", "big-gamma-text", "gamma-nan", "big-gamma-nan"])
+def test_eval_rejects_a_bracket_end_that_is_not_a_finite_number(bracket, tmp_path, capsys):
+    cfgf = tmp_path / "ev.json"
+    cfgf.write_text(json.dumps(WORKED_EVAL | bracket))        # json writes NaN as NaN
+    out = tmp_path / "o.json"
+    assert run(["eval", "--config", str(cfgf), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err and "Traceback" not in err
+    assert not out.exists()                                   # no report, so no NaN in one
+
+
 def test_eval_scale_override(tmp_path):
     cfgf = tmp_path / "ev.json"
     cfgf.write_text(json.dumps(WORKED_EVAL))

@@ -40,6 +40,7 @@ from delta_ineq import harness
 from delta_ineq.harness import STEP_FLOOR
 from delta_ineq.ostrowski import BOUNDS
 from delta_ineq.timescale import _ScaleBase
+from test_golden import POLY_ALL_SCALES
 
 IDENT = Polynomial((0.0, 1.0))
 Z08_SPEC = KernelSpec(ts=IntegerInterval(0, 8), a=0.0, b=8.0, x=4.0,
@@ -317,8 +318,10 @@ def test_suites_build_witnesses_only_for_failing_checks(monkeypatch):
 
 
 def test_korkine_witnesses_replay_bit_exact(monkeypatch):
-    """Every korkine and kernel-variance witness of a suite run, written and
-    read back as JSON, replays to its recorded residual bit for bit."""
+    """Every identity witness of a suite run, written and read back as JSON,
+    replays to its recorded residual bit for bit: all seven checks, on the
+    default discrete draws and on polynomials over all four scale kinds,
+    so the product rule at a dense t and all three crosscheck families too."""
     real_add = harness._IdentityAgg.add
 
     def failing(self, residual, denom, tol):      # record every check's witness
@@ -326,13 +329,17 @@ def test_korkine_witnesses_replay_bit_exact(monkeypatch):
         return False
 
     monkeypatch.setattr(harness._IdentityAgg, "add", failing)
-    rep = run_identity_suite(TrialConfig(seed=3, n_trials=40))
-    failures = json.loads(json_dumps(rep.to_json()))["failures"]
-    witnesses = [w for w in failures if w["check"] in ("korkine", "kernel-variance")]
-    assert {w["check"] for w in witnesses} == {"korkine", "kernel-variance"}
-    assert any(w["residual"] != 0.0 for w in witnesses)
-    for w in witnesses:
-        assert replay_witness(w)["residual"].hex() == float(w["residual"]).hex()
+    for config in (TrialConfig(seed=3, n_trials=40),
+                   config_from_json(POLY_ALL_SCALES | {"seed": 3, "trials": 40}, "identity")):
+        rep = run_identity_suite(config)
+        witnesses = json.loads(json_dumps(rep.to_json()))["failures"]
+        assert {w["check"] for w in witnesses} == set(harness.IDENTITY_CHECKS)
+        assert any(w["residual"] != 0.0 for w in witnesses)
+        for w in witnesses:
+            assert replay_witness(w)["residual"].hex() == float(w["residual"]).hex()
+    assert {w["family"] for w in witnesses if w["check"] == "crosscheck"} == {"Z", "Q", "R"}
+    assert any(w["spec"]["scale"]["kind"] == "real"
+               for w in witnesses if w["check"] == "product-rule")
 
 
 def test_suite_report_json_shape():
@@ -486,6 +493,21 @@ def test_replay_witness_rejects_garbage():
         replay_witness({"no": "kind"})
     with pytest.raises(ConfigError):
         replay_witness({"kind": "astrology", "spec": {}, "f": {}})
+    spec, f = kernel_spec_to_json(Z08_SPEC), func_to_json(Polynomial((1.0, 0.0, 1.0)))
+    whole = [
+        {"kind": "identity", "check": "product-rule", "spec": spec, "f": f, "t": 3.0},
+        {"kind": "identity", "check": "crosscheck", "spec": spec, "f": f, "family": "Z"},
+        {"kind": "bound", "theorem": "T5", "variant": "corrected", "spec": spec, "f": f},
+    ]
+    for witness in whole:
+        replay_witness(witness)
+        for field in set(witness) - {"kind"}:       # each missing field is named
+            with pytest.raises(ConfigError, match=f"missing field '{field}'"):
+                replay_witness({k: v for k, v in witness.items() if k != field})
+    real = kernel_spec_to_json(KernelSpec(ts=RealInterval(0.0, 2.0), a=0.0, b=2.0, x=1.0,
+                                          alpha=1.0, beta=1.0, h=IDENT))
+    with pytest.raises(ConfigError, match="does not apply"):     # no sigma walk on R
+        replay_witness({"kind": "identity", "check": "korkine", "spec": real, "f": f})
 
 
 def test_replay_identity_witness_round_trip():

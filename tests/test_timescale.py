@@ -18,6 +18,7 @@ from delta_ineq import (
     scale_from_json,
     scale_to_json,
 )
+from delta_ineq.timescale import SCALE_KINDS
 
 
 # ---------------------------------------------------------------- FiniteGrid
@@ -215,6 +216,28 @@ def test_non_finite_scales_are_rejected(make):
 ])
 def test_scale_json_round_trip(ts):
     assert scale_from_json(scale_to_json(ts)) == ts
+
+
+# each kind's wire form, keys in order: witnesses and configs write it into reports
+WIRE_FORMS = [
+    (FiniteGrid((0.0, 0.25, 1.5)), {"kind": "grid", "points": [0.0, 0.25, 1.5]}),
+    (IntegerInterval(-3, 5), {"kind": "integer", "lo": -3, "hi": 5}),
+    (QLattice(1.5, -2, 4), {"kind": "qlattice", "q": 1.5, "kmin": -2, "kmax": 4}),
+    (RealInterval(-1.0, 2.0), {"kind": "real", "lo": -1.0, "hi": 2.0}),
+]
+
+
+@pytest.mark.parametrize("ts, wire", WIRE_FORMS, ids=[w["kind"] for _, w in WIRE_FORMS])
+def test_scale_json_pins_each_kind_and_key_order(ts, wire):
+    out = scale_to_json(ts)
+    assert list(out.items()) == list(wire.items())
+    assert all(type(out[k]) is type(v) for k, v in wire.items())   # a list, not a tuple
+    back = scale_from_json(out)
+    assert back == ts and type(back) is type(ts) and back.kind == wire["kind"]
+
+
+def test_wire_forms_cover_every_scale_kind():
+    assert sorted(w["kind"] for _, w in WIRE_FORMS) == sorted(SCALE_KINDS)
 
 
 def test_scale_from_json_rejects_garbage():
