@@ -779,6 +779,17 @@ class _Witness(dict):
         raise ConfigError(f"witness missing field {name!r}")
 
 
+_VARIANTS = {v.value: v for v in Variant}
+
+
+def _row(table: dict, key, what: str):
+    """table[key] for a witness field; a key that is not a known string,
+    such as a list, is a ConfigError."""
+    if not isinstance(key, str) or key not in table:
+        raise ConfigError(f"unknown {what} {key!r}")
+    return table[key]
+
+
 def replay_witness(witness: dict) -> dict:
     """Recompute a recorded witness standalone; returns the fresh numbers.
     An identity witness is replayed through its row of IDENTITY_CHECKS."""
@@ -789,18 +800,14 @@ def replay_witness(witness: dict) -> dict:
     spec = kernel_spec_from_json(witness["spec"])
     f = func_from_json(witness["f"])
     if kind == "bound":
-        theorem = witness["theorem"]
-        variant = Variant(witness["variant"])
+        bound = _row(BOUNDS, witness["theorem"], "theorem id")
+        variant = _row(_VARIANTS, witness["variant"], "variant")
         g = func_from_json(witness["g"]) if "g" in witness else None
-        if theorem not in BOUNDS:
-            raise ConfigError(f"unknown theorem id {theorem!r}")
-        rep = BOUNDS[theorem](spec, f, g, variant, witness.get("gamma"), witness.get("big_gamma"))
+        rep = bound(spec, f, g, variant, witness.get("gamma"), witness.get("big_gamma"))
         return {"lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack}
     if kind == "identity":
         check = witness["check"]
-        if check not in IDENTITY_CHECKS:
-            raise ConfigError(f"unknown identity check {check!r}")
-        measured = IDENTITY_CHECKS[check][1](spec, f, witness)
+        measured = _row(IDENTITY_CHECKS, check, "identity check")[1](spec, f, witness)
         if measured is None:
             raise ConfigError(f"identity check {check!r} does not apply to this witness")
         return {"residual": measured[0]}

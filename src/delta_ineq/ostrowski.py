@@ -71,6 +71,12 @@ VARIANCE_CLAMP = 1e-12
 # Interior sign changes of polynomial kernels are refined to this width.
 ROOT_REFINE_TOL = 1e-12
 ROOT_SCAN_CELLS = 1024
+# The root scan skips a block of scan points only when the sign its ends
+# share holds by this many times the Horner error bound (see _roots_in).
+ROOT_CERT_FACTOR = 8.0
+_UNIT_ROUNDOFF = sys.float_info.epsilon / 2
+_FLOAT_MIN = sys.float_info.min
+_HORNER_LIMIT = sys.float_info.max / 4
 
 
 class Variant(str, Enum):
@@ -266,41 +272,84 @@ def kernel_P(spec: KernelSpec, t: float) -> float:
 
 
 def _roots_in(coeffs: tuple[float, ...], lo: float, hi: float) -> list[float]:
-    """Sign-change roots of a polynomial inside (lo, hi), by scan + bisection."""
+    """Sign-change roots of a polynomial p = sum c_k t**k inside (lo, hi),
+    by scan + bisection.
+
+    The scan's grid is x_i = lo + i*step for i = 0..ROOT_SCAN_CELLS, with
+    v_i = poly_eval(p, x_i).  Cell i is flagged when v_i is an exact zero
+    (a root at x_i) or v_i * v_{i+1} < 0.0 (a root bisected to
+    ROOT_REFINE_TOL).  Only the points the flagged cells need are evaluated.
+    A block [i, j] of the grid is certified to hold no flagged cell when
+    v_i and v_j share a strict sign and
+
+        |v_i + v_j| - L*(x_j - x_i) > 2*ROOT_CERT_FACTOR*E,
+
+    where r = max(|x_0|, |x_n|) bounds |x| on the grid, L = sum k|c_k|r**(k-1)
+    bounds |p'| there, d = len(coeffs) - 1, and E = gamma_2d * sum |c_k|r**k
+    bounds the error of every Horner value on the grid (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, eq. 5.3).  On [x_i, x_j], p
+    then keeps v_i's sign with |p| >= (|v_i + v_j| - L*(x_j - x_i))/2 - E,
+    so every v_k keeps it too once that exceeds E.  That needs a factor of
+    2; ROOT_CERT_FACTOR = 8 leaves the rest for the rounding of the
+    certificate itself.  Each |c_k| carries the smallest normal float, which
+    covers gradual underflow, and a polynomial whose Horner sums could
+    overflow certifies nothing.  Every other block is split at its
+    midpoint, down to single cells, so the roots and every value they are
+    refined from are those of evaluating every grid point, bit for bit.
+    """
     if lo >= hi or not any(coeffs[1:]):
         # A constant changes no sign; the scan below would report every
         # interior scan point of the zero polynomial as a root.
         return []
     n = ROOT_SCAN_CELLS
     step = (hi - lo) / n
-    xs = [lo + i * step for i in range(n + 1)]
-    # poly_eval's Horner steps, in its order, one coefficient at a time
-    vals = [0.0] * (n + 1)
+    xi, xj = lo + 0 * step, lo + n * step      # x_0 as the grid gives it: 0.0 for lo = -0.0
+    r = max(abs(xi), abs(xj))
+    # Horner on |c_k| at r: s = sum |c_k| r**k and lip = sum k |c_k| r**(k-1).
+    # Every partial Horner sum of p on the grid is at most s + size.
+    s = lip = size = 0.0
     for c in reversed(coeffs):
-        vals = [v * x + c for v, x in zip(vals, xs)]
-    cells = [i for i, (u, v) in enumerate(zip(vals, vals[1:])) if u == 0.0 or u * v < 0.0]
+        a = abs(c) + _FLOAT_MIN
+        lip = lip * r + s
+        s = s * r + a
+        size += a
+    d2 = 2 * (len(coeffs) - 1)
+    gamma = d2 * _UNIT_ROUNDOFF / (1.0 - d2 * _UNIT_ROUNDOFF)
+    slack = 2.0 * ROOT_CERT_FACTOR * gamma * s if s + size < _HORNER_LIMIT else math.inf
     tol = ROOT_REFINE_TOL * max(1.0, abs(lo), abs(hi))
     roots: list[float] = []
-    for i in cells:
-        u = vals[i]
-        if u == 0.0:
-            if lo < xs[i] < hi:
-                roots.append(xs[i])
-            continue
-        left, right = xs[i], xs[i + 1]
-        fl = u
-        while right - left > tol:
-            mid = 0.5 * (left + right)
-            fm = poly_eval(coeffs, mid)
-            if fm == 0.0:
-                left = right = mid
-                break
-            if fl * fm < 0.0:
-                right = mid
-            else:
-                left, fl = mid, fm
-        roots.append(0.5 * (left + right))
-    return roots
+    i, j = 0, n
+    vi, vj = poly_eval(coeffs, xi), poly_eval(coeffs, xj)
+    pending: list[tuple[int, float, float]] = []
+    while True:
+        if j - i > 1:
+            if not (vi * vj > 0.0 and abs(vi + vj) - lip * (xj - xi) > slack):   # uncertified
+                pending.append((j, xj, vj))
+                j = (i + j) // 2
+                xj = lo + j * step
+                vj = poly_eval(coeffs, xj)
+                continue
+        elif vi == 0.0:                 # a single cell, tested as the full scan tests it
+            if lo < xi < hi:
+                roots.append(xi)
+        elif vi * vj < 0.0:
+            left, right = xi, xj
+            fl = vi
+            while right - left > tol:
+                mid = 0.5 * (left + right)
+                fm = poly_eval(coeffs, mid)
+                if fm == 0.0:
+                    left = right = mid
+                    break
+                if fl * fm < 0.0:
+                    right = mid
+                else:
+                    left, fl = mid, fm
+            roots.append(0.5 * (left + right))
+        if not pending:
+            return roots
+        i, xi, vi = j, xj, vj
+        j, xj, vj = pending.pop()
 
 
 def _abs_definite(coeffs: tuple[float, ...], lo: float, hi: float) -> float:
@@ -749,7 +798,7 @@ def closed_form_rhs(spec: KernelSpec, f: Func, family: str) -> float:
     cached one), S(f) and f(x) B/w - S(f)/w are formed here once.
     Independent of the generic delta engine, for cross-checking.
     """
-    if family not in FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r} (expected 'Z', 'Q', or 'R')")
     scale_class, integral_of = FAMILIES[family]
     if not isinstance(spec.ts, scale_class):

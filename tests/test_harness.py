@@ -504,7 +504,19 @@ def test_replay_witness_rejects_garbage():
         for field in set(witness) - {"kind"}:       # each missing field is named
             with pytest.raises(ConfigError, match=f"missing field '{field}'"):
                 replay_witness({k: v for k, v in witness.items() if k != field})
-    real = kernel_spec_to_json(KernelSpec(ts=RealInterval(0.0, 2.0), a=0.0, b=2.0, x=1.0,
+    # every field present, one value bad: an unknown string or a list
+    bad_values = [
+        (whole[2], "variant", "nope"),
+        (whole[2], "variant", ["corrected"]),
+        (whole[2], "theorem", ["T5"]),
+        (whole[0], "check", ["product-rule"]),
+        (whole[1], "family", ["Z"]),
+        ({"kind": "crosscheck", "spec": spec, "f": f}, "family", ["Z"]),
+    ]
+    for witness, field, value in bad_values:
+        with pytest.raises(ConfigError, match="unknown"):
+            replay_witness({**witness, field: value})
+    real =kernel_spec_to_json(KernelSpec(ts=RealInterval(0.0, 2.0), a=0.0, b=2.0, x=1.0,
                                           alpha=1.0, beta=1.0, h=IDENT))
     with pytest.raises(ConfigError, match="does not apply"):     # no sigma walk on R
         replay_witness({"kind": "identity", "check": "korkine", "spec": real, "f": f})

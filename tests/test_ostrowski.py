@@ -51,7 +51,9 @@ from delta_ineq import (
     reduction_weighted_ostrowski,
     sup_abs_delta_derivative,
 )
-from delta_ineq.calculus import poly_definite, poly_eval
+from delta_ineq import ostrowski
+from delta_ineq.calculus import poly_add, poly_definite, poly_eval, poly_scale
+from delta_ineq.harness import config_from_json, run_bound_suite
 from delta_ineq.ostrowski import (
     ROOT_REFINE_TOL,
     ROOT_SCAN_CELLS,
@@ -60,6 +62,7 @@ from delta_ineq.ostrowski import (
     _mean_side,
     _roots_in,
 )
+from test_golden import POLY_ALL_SCALES, REAL_POLY
 from test_memo import _residual_bounds
 
 T_SQUARED = Polynomial((0.0, 0.0, 1.0))
@@ -677,22 +680,210 @@ def _random_root_scan_cases(n_cases, seed=15):
                 lo = rng.uniform(-5.0, 0.0)
                 hi = rng.uniform(0.5, 5.0)
             step = (hi - lo) / ROOT_SCAN_CELLS
-            coeffs = (rng.choice((-2.0, 0.5, 1.0, 3.0)),)
-            for _ in range(degree):
-                r = lo + rng.randint(0, ROOT_SCAN_CELLS) * step
-                # times (t - r), coefficients from the constant term up
-                coeffs = tuple(a - r * b for a, b in zip((0.0,) + coeffs, coeffs + (0.0,)))
+            coeffs = _poly_from_roots(rng.choice((-2.0, 0.5, 1.0, 3.0)), [
+                lo + rng.randint(0, ROOT_SCAN_CELLS) * step for _ in range(degree)])
         cases.append((coeffs, lo, hi))
     return cases
+
+
+def _poly_from_roots(lead, roots):
+    """lead * prod(t - r), coefficients from the constant term up."""
+    coeffs = (lead,)
+    for r in roots:
+        coeffs = tuple(a - r * b for a, b in zip((0.0,) + coeffs, coeffs + (0.0,)))
+    return coeffs
+
+
+def _scan_point(rng, lo, hi):
+    return lo + rng.randint(0, ROOT_SCAN_CELLS) * ((hi - lo) / ROOT_SCAN_CELLS)
+
+
+def _clustered_roots(rng):
+    """Double roots and clusters of roots 1e-12 to 1e-4 apart, on scan
+    points or not, with a few roots elsewhere; degree up to 12."""
+    lo = rng.uniform(-5.0, 5.0)
+    hi = lo + rng.uniform(1e-2, 10.0)
+    roots = []
+    while len(roots) < 8:
+        c = _scan_point(rng, lo, hi) if rng.random() < 0.5 else rng.uniform(lo, hi)
+        gap = 10.0 ** rng.uniform(-12.0, -4.0)
+        roots += [c] * 2 if rng.random() < 0.5 else [c + k * gap for k in range(rng.randint(2, 4))]
+        if rng.random() < 0.5:
+            break
+    roots += [rng.uniform(lo - 1.0, hi + 1.0) for _ in range(rng.randint(0, 12 - len(roots)))]
+    return _poly_from_roots(rng.choice((-1.0, 0.25, 3.0)), roots), lo, hi
+
+
+def _root_at_an_end(rng):
+    """The shapes of the kernel's branches: c1*(h(t) - h(lo)) vanishes at
+    lo and -c2*(h(hi) - h(t)) at hi, up to round-off; or an exact factor
+    (t - lo) or (t - hi).  Dyadic ends make some of these zeros exact."""
+    if rng.random() < 0.5:
+        lo, hi = rng.randint(-20, 10) / 4, rng.randint(11, 30) / 4
+    else:
+        lo = rng.uniform(-5.0, 5.0)
+        hi = lo + rng.uniform(1e-3, 10.0)
+    end = rng.choice((lo, hi))
+    if rng.random() < 0.5:
+        h = tuple(rng.uniform(-3.0, 3.0) for _ in range(rng.randint(2, 6)))
+        c = rng.uniform(0.1, 2.0) * (1.0 if end == lo else -1.0)
+        return poly_scale(poly_add(h, (-poly_eval(h, end),)), c), lo, hi
+    roots = [end] + [rng.uniform(lo - 1.0, hi + 1.0) for _ in range(rng.randint(0, 5))]
+    return _poly_from_roots(rng.uniform(-3.0, 3.0), roots), lo, hi
+
+
+def _tiny_coefficients(rng):
+    """Coefficients near 1e-160: products of two values underflow, so the
+    scan's u * v < 0.0 misses some sign changes."""
+    lo = rng.uniform(-3.0, 1.0)
+    hi = lo + rng.uniform(0.5, 4.0)
+    scale = 10.0 ** rng.uniform(-170.0, -150.0)
+    if rng.random() < 0.5:
+        coeffs = tuple(scale * rng.uniform(-3.0, 3.0) for _ in range(rng.randint(2, 13)))
+        return coeffs, lo, hi
+    roots = [rng.uniform(lo, hi) for _ in range(rng.randint(1, 6))]
+    return _poly_from_roots(scale, roots), lo, hi
+
+
+def _huge_coefficients(rng):
+    """Coefficients near 1e300 on wide windows: Horner overflows to inf,
+    and inf - inf gives NaN, at some scan points."""
+    lo = -rng.uniform(1.0, 100.0)
+    hi = rng.uniform(1.0, 100.0)
+    scale = 10.0 ** rng.uniform(295.0, 307.0)
+    coeffs = tuple(scale * rng.uniform(-1.0, 1.0) for _ in range(rng.randint(2, 13)))
+    return coeffs, lo, hi
+
+
+def _far_window(rng):
+    """Windows far from 0, such as lo = 1e8 with width 1e-3, with roots
+    inside: the expanded coefficients cancel, and round-off sets the sign.
+    The narrowest windows repeat grid points."""
+    lo = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(4.0, 9.0)
+    hi = lo + abs(lo) * 10.0 ** rng.uniform(-16.0, -9.0)
+    roots = [_scan_point(rng, lo, hi) if rng.random() < 0.3 else rng.uniform(lo, hi)
+             for _ in range(rng.randint(1, 4))]
+    return _poly_from_roots(rng.uniform(-2.0, 2.0), roots), lo, hi
+
+
+def _high_degree(rng):
+    """Random coefficients or spread roots, degree 6 to 12."""
+    lo = rng.uniform(-2.0, 1.0)
+    hi = lo + rng.uniform(0.1, 3.0)
+    degree = rng.randint(6, 12)
+    if rng.random() < 0.5:
+        return tuple(rng.uniform(-3.0, 3.0) for _ in range(degree + 1)), lo, hi
+    roots = [rng.uniform(lo - 0.5, hi + 0.5) for _ in range(degree)]
+    return _poly_from_roots(rng.uniform(-3.0, 3.0), roots), lo, hi
+
+
+ADVERSARIAL_ROOT_SCANS = {
+    "clustered": _clustered_roots,
+    "root-at-end": _root_at_an_end,
+    "tiny": _tiny_coefficients,
+    "huge": _huge_coefficients,
+    "far-window": _far_window,
+    "high-degree": _high_degree,
+}
+
+
+def _assert_scan_matches_oracle(coeffs, lo, hi):
+    """_roots_in's roots, after checking them against the oracle."""
+    got = _roots_in(coeffs, lo, hi)
+    want = _scan_roots_point_by_point(coeffs, lo, hi)
+    assert [r.hex() for r in got] == [r.hex() for r in want], (coeffs, lo, hi)
+    return got
 
 
 def test_root_scan_is_bit_equal_to_the_point_by_point_scan():
     cases = _random_root_scan_cases(600)
     exact_zeros = 0
     for coeffs, lo, hi in cases:
-        got = _roots_in(coeffs, lo, hi)
-        want = _scan_roots_point_by_point(coeffs, lo, hi)
-        assert [r.hex() for r in got] == [r.hex() for r in want], (coeffs, lo, hi)
-        exact_zeros += any(poly_eval(coeffs, r) == 0.0 for r in want)
+        roots = _assert_scan_matches_oracle(coeffs, lo, hi)
+        exact_zeros += any(poly_eval(coeffs, r) == 0.0 for r in roots)
     # the dyadic third must reach the scan's exact-zero branch
     assert exact_zeros >= 100
+
+
+def _grid_values(coeffs, lo, hi):
+    step = (hi - lo) / ROOT_SCAN_CELLS
+    return [poly_eval(coeffs, lo + i * step) for i in range(ROOT_SCAN_CELLS + 1)]
+
+
+@pytest.mark.parametrize("family", sorted(ADVERSARIAL_ROOT_SCANS))
+def test_root_scan_is_bit_equal_to_the_point_by_point_scan_on_adversarial_families(family):
+    rng = random.Random(f"root-scan-{family}")
+    hits = 0
+    for _ in range(40):
+        coeffs, lo, hi = ADVERSARIAL_ROOT_SCANS[family](rng)
+        roots = _assert_scan_matches_oracle(coeffs, lo, hi)
+        vals = _grid_values(coeffs, lo, hi)
+        # each family must reach the regime it is there for
+        if family == "tiny":
+            hits += any(u * v == 0.0 and u != 0.0 != v for u, v in zip(vals, vals[1:]))
+        elif family == "huge":
+            hits += not all(math.isfinite(v) for v in vals)
+        elif family == "root-at-end":
+            hits += vals[0] == 0.0 or vals[-1] == 0.0
+        else:
+            hits += len(roots) >= 2
+    assert hits >= 10
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(sorted(ADVERSARIAL_ROOT_SCANS)),
+       rng=st.randoms(use_true_random=False))
+def test_root_scan_matches_the_point_by_point_scan_property(family, rng):
+    _assert_scan_matches_oracle(*ADVERSARIAL_ROOT_SCANS[family](rng))
+
+
+def test_root_scan_on_the_suite_traffic_is_bit_equal(monkeypatch):
+    """Every root scan of real bound suites, through the engine's own
+    callers: the kernel moments and the f'' roots of the f' envelopes."""
+    calls = []
+
+    def checked(coeffs, lo, hi):
+        calls.append(coeffs)
+        return _assert_scan_matches_oracle(coeffs, lo, hi)
+
+    monkeypatch.setattr(ostrowski, "_roots_in", checked)
+    for config in ({**REAL_POLY, "seed": 3}, {**POLY_ALL_SCALES, "seed": 7}):
+        run_bound_suite(config_from_json({**config, "trials": 40}))
+    assert len(calls) >= 100
+
+
+def _count_scan_evaluations(monkeypatch, coeffs, lo, hi):
+    """(roots, poly_eval calls) of one _roots_in call."""
+    count = [0]
+
+    def counted(c, t):
+        count[0] += 1
+        return poly_eval(c, t)
+
+    monkeypatch.setattr(ostrowski, "poly_eval", counted)
+    roots = _roots_in(coeffs, lo, hi)
+    monkeypatch.undo()
+    return roots, count[0]
+
+
+@pytest.mark.parametrize("coeffs, lo, hi, n_roots, most", [
+    ((1.0, 0.5, 2.0), -3.0, 2.0, 0, 20),                              # no real root
+    (_poly_from_roots(1.5, (-1.3, 0.2, 2.1)), -2.0, 3.0, 3, 300),   # simple roots
+])
+def test_root_scan_evaluates_far_fewer_points_than_the_grid(monkeypatch, coeffs, lo, hi,
+                                                           n_roots, most):
+    roots, evaluations = _count_scan_evaluations(monkeypatch, coeffs, lo, hi)
+    assert len(roots) == n_roots
+    # the grid has ROOT_SCAN_CELLS + 1 = 1025 points; bisection adds about
+    # 30 evaluations per root
+    assert evaluations <= most
+    assert roots == _assert_scan_matches_oracle(coeffs, lo, hi)
+
+
+def test_root_scan_of_an_overflowing_polynomial_matches_the_oracle():
+    # the partial Horner sum c2 + c3 t + c4 t**2 passes the largest float
+    # near t = -0.05 only: there the scan reads -inf between two positive
+    # values, and flags two cells the true polynomial does not have
+    coeffs, lo, hi = (1e307, 0.0, -1.7975e308, 1e307, 1e308), -0.1, 0.1
+    assert poly_eval(coeffs, -0.05) == -math.inf
+    assert len(_assert_scan_matches_oracle(coeffs, lo, hi)) == 2
