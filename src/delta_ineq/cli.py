@@ -224,13 +224,8 @@ def main(argv: list[str] | None = None) -> int:
             return _run_suite(ns, run_crosscheck_suite, "crosscheck")
         if ns.command == "sharpness":
             return _run_sharpness(ns)
-        if ns.command == "eval":
-            return _run_eval(ns)
-        raise ConfigError(f"unknown subcommand {ns.command!r}")
-    except DeltaIneqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return _run_eval(ns)        # the subparsers admit no other command
+    except (DeltaIneqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -377,6 +377,11 @@ class SuiteReport:
         return out
 
 
+def _denom(reference: float) -> float:
+    """The denominator of every identity-type check: max(1, |reference|)."""
+    return max(1.0, abs(reference))
+
+
 class _IdentityAgg:
     __slots__ = ("trials", "violations", "max_abs", "max_rel")
 
@@ -386,9 +391,9 @@ class _IdentityAgg:
         self.max_abs = 0.0
         self.max_rel = 0.0
 
-    def add(self, residual: float, denom: float, tol: float) -> bool:
+    def add(self, residual: float, reference: float, tol: float) -> bool:
         self.trials += 1
-        rel = abs(residual) / denom
+        rel = abs(residual) / _denom(reference)
         self.max_abs = max(self.max_abs, abs(residual))
         self.max_rel = max(self.max_rel, rel)
         ok = rel <= tol
@@ -483,7 +488,7 @@ def _int_f_gdelta(spec: KernelSpec, f: Func, g: Func) -> float:
 
 
 def _identity_witness(seed: int, trial: int, check: str, spec: KernelSpec,
-                      f: Func, residual: float, denom: float, **extra) -> dict:
+                      f: Func, residual: float, reference: float, **extra) -> dict:
     return {
         "kind": "identity",
         "seed": seed,
@@ -491,7 +496,7 @@ def _identity_witness(seed: int, trial: int, check: str, spec: KernelSpec,
         "check": check,
         "spec": kernel_spec_to_json(spec),
         "residual": residual,
-        "denom": denom,
+        "denom": _denom(reference),
         "f": func_to_json(f),
         **extra,
     }
@@ -499,33 +504,32 @@ def _identity_witness(seed: int, trial: int, check: str, spec: KernelSpec,
 
 def _variance_envelope(spec: KernelSpec, f: Func, w: dict) -> tuple[float, float]:
     variance, bound = gruss_variance_check(spec.ts, f, spec.a, spec.b)
-    return max(0.0, variance - bound), max(1.0, bound)
+    return max(0.0, variance - bound), bound
 
 
 def _crosscheck(spec: KernelSpec, f: Func, w: dict) -> tuple[float, float] | None:
     if w["family"] is None:
         return None
     closed = closed_form_rhs(spec, f, w["family"])
-    return montgomery_rhs(spec, f) - closed, max(1.0, abs(closed))
+    return montgomery_rhs(spec, f) - closed, closed
 
 
 # label: (the witness fields the check reads, (spec, f, fields) -> (residual,
-# denominator) or None where it does not apply), in report order.  The sigma
-# walk needs no dense piece (spec._grid[4]).  The suite and replay_witness run it.
+# reference) or None where it does not apply), in report order; _IdentityAgg
+# forms the denominator.  The sigma walk needs no dense piece (spec._grid[4]).
+# The suite and replay_witness run it.
 IDENTITY_CHECKS = {
     "montgomery-identity": ((), lambda spec, f, w: (
-        identity_residual(spec, f), max(1.0, abs(montgomery_lhs(spec, f))))),
+        identity_residual(spec, f), montgomery_lhs(spec, f))),
     "integration-by-parts": ((), lambda spec, f, w: (
-        parts_residual(spec.ts, f, spec.h, spec.a, spec.b),
-        max(1.0, abs(_int_f_gdelta(spec, f, spec.h))))),
+        parts_residual(spec.ts, f, spec.h, spec.a, spec.b), _int_f_gdelta(spec, f, spec.h))),
     "product-rule": (("t",), lambda spec, f, w: (
         product_rule_residual(spec.ts, f, spec.h, w["t"]),
-        max(1.0, abs(_product_delta(spec.ts, f, spec.h, w["t"]))))),
+        _product_delta(spec.ts, f, spec.h, w["t"]))),
     "korkine": ((), lambda spec, f, w: None if spec._grid[4] else (
-        korkine_residual(spec, f), max(1.0, abs(montgomery_lhs(spec, f)) / (spec.b - spec.a)))),
+        korkine_residual(spec, f), montgomery_lhs(spec, f) / (spec.b - spec.a))),
     "kernel-variance": ((), lambda spec, f, w: None if spec._grid[4] else (
-        kernel_variance_residual(spec),
-        max(1.0, kernel_moments(spec).int_p2 / (spec.b - spec.a)))),
+        kernel_variance_residual(spec), kernel_moments(spec).int_p2 / (spec.b - spec.a))),
     "variance-envelope": ((), _variance_envelope),
     "crosscheck": (("family",), _crosscheck),
 }
@@ -614,7 +618,7 @@ def run_bound_suite(config: TrialConfig, keep_rows: bool = False) -> SuiteReport
         t7_l2, t7_gruss = once["T7-L2"], once["T7-Gruss"]
         rec.check("t7-chain", lambda: _bound_witness(config.seed, i, t7_l2, spec, f, None,
                                                      gamma, big_gamma) | {"check": "t7-chain"},
-                  max(0.0, t7_l2.rhs - t7_gruss.rhs), max(1.0, t7_gruss.rhs))
+                  max(0.0, t7_l2.rhs - t7_gruss.rhs), t7_gruss.rhs)
 
         for rep in reports:
             if keep_rows:
@@ -633,14 +637,11 @@ def run_crosscheck_suite(config: TrialConfig) -> SuiteReport:
     rec = _Recorder("crosscheck", config, {fam: _IdentityAgg() for fam in FAMILIES})
 
     for fam, (scale_class, _) in FAMILIES.items():
+        poly = {"kind": "poly"} if fam == "R" else {}
         fam_config = dataclasses.replace(
-            config,
-            scale_families=(scale_class.kind,),
-            func_family=dataclasses.replace(
-                config.func_family, kind="poly" if fam == "R" else config.func_family.kind),
-            weight_family=dataclasses.replace(
-                config.weight_family, kind="poly" if fam == "R" else config.weight_family.kind),
-        )
+            config, scale_families=(scale_class.kind,),
+            func_family=dataclasses.replace(config.func_family, **poly),
+            weight_family=dataclasses.replace(config.weight_family, **poly))
         for i in range(config.n_trials):
             rng = trial_rng(config.seed, i)
             spec, f, _ = _draw_trial(rng, fam_config, with_g=False)
@@ -656,7 +657,7 @@ def run_crosscheck_suite(config: TrialConfig) -> SuiteReport:
                 "generic": generic,
                 "closed": closed,
                 "diff": generic - closed,
-            }, generic - closed, max(1.0, abs(closed)))
+            }, generic - closed, closed)
 
     return rec.report()
 
@@ -684,25 +685,18 @@ class SharpnessResult:
         return dataclasses.asdict(self)
 
 
-def _sharpness_ratio(theorem: str, spec: KernelSpec, f: Func, g: Func | None,
-                     tol: float) -> float:
-    rep = BOUNDS[theorem](spec, f, g, Variant.CORRECTED, None, None)
-    if rep.rhs > 0.0:
-        return rep.lhs / rep.rhs
-    return 0.0 if rep.lhs <= tol else float("inf")
-
-
 def sharpness_search(theorem: str, spec: KernelSpec, config: TrialConfig) -> SharpnessResult:
     """Maximize lhs/rhs of a Corrected bound over sampled function values.
 
     Coordinate ascent: starting from a uniform random draw, perturb one
     sample at a time by +/-step (both signs scored), halving the step after
-    any full sweep without improvement, down to a floor of 1e-6.  The
-    evaluation budget is config.n_trials; the initial draw is free.
-    Deterministic given config.seed.  Each candidate takes its step table
-    from the function it perturbs (``_with_sample``), so the window is
-    tabulated once per search, and the sums of the function it leaves
-    alone are kept per spec in that function's memo.
+    any full sweep without improvement, down to a floor of 1e-6, over f's
+    samples, then g's for the theorems that read g.  The evaluation budget is
+    config.n_trials; the initial draw is free.  Deterministic given
+    config.seed.  Each candidate takes its step table from the function it
+    perturbs (``_with_sample``), so the window is tabulated once per search,
+    and the sums of the function it leaves alone are kept per spec in that
+    function's memo.
     """
     if theorem not in THEOREMS:
         raise UnsupportedTheorem(f"unknown theorem id {theorem!r}")
@@ -712,41 +706,38 @@ def sharpness_search(theorem: str, spec: KernelSpec, config: TrialConfig) -> Sha
     rng = trial_rng(config.seed, 0)
     pts = steps + [spec.b]
     r = config.func_family.value_range
-    f = Sampled(table={t: rng.uniform(-r, r) for t in pts})
-    g = Sampled(table={t: rng.uniform(-r, r) for t in pts}) if theorem in READS_G else None
+    funcs = [Sampled(table={t: rng.uniform(-r, r) for t in pts})
+             for _ in range(2 if theorem in READS_G else 1)]
     tol = config.tolerance
 
-    def score(ff: Func, gg: Func | None) -> float:
-        return _sharpness_ratio(theorem, spec, ff, gg, tol)
+    def score(f: Func, g: Func | None = None) -> float:
+        rep = BOUNDS[theorem](spec, f, g, Variant.CORRECTED, None, None)
+        if rep.rhs > 0.0:
+            return rep.lhs / rep.rhs
+        return 0.0 if rep.lhs <= tol else float("inf")
 
-    best = score(f, g)
+    best = score(*funcs)
     max_seen = best
     trace = [best]
-    coords = [("f", i, t) for i, t in enumerate(pts)]
-    if g is not None:
-        coords += [("g", i, t) for i, t in enumerate(pts)]
+    coords = [(k, i, t) for k in range(len(funcs)) for i, t in enumerate(pts)]
     budget = config.n_trials
     evals = 0
     step = 0.25 * r
     while evals < budget and step >= STEP_FLOOR:
         improved = False
-        for which, i, t in coords:
+        for k, i, t in coords:
             for sign in (1.0, -1.0):
                 if evals >= budget:
                     break
-                cand_f, cand_g = f, g
-                if which == "f":
-                    cand_f = _with_sample(spec.ts, f, spec.a, spec.b, i, t,
-                                          f.table[t] + sign * step)
-                else:
-                    cand_g = _with_sample(spec.ts, g, spec.a, spec.b, i, t,
-                                          g.table[t] + sign * step)
-                ratio = score(cand_f, cand_g)
+                cand = funcs.copy()
+                cand[k] = _with_sample(spec.ts, funcs[k], spec.a, spec.b, i, t,
+                                       funcs[k].table[t] + sign * step)
+                ratio = score(*cand)
                 evals += 1
                 if ratio > max_seen:
                     max_seen = ratio
                 if ratio > best:
-                    best, f, g = ratio, cand_f, cand_g
+                    best, funcs = ratio, cand
                     trace.append(ratio)
                     improved = True
             if evals >= budget:
@@ -761,8 +752,8 @@ def sharpness_search(theorem: str, spec: KernelSpec, config: TrialConfig) -> Sha
         iterations=evals,
         final_step=step,
         violation=max_seen > 1.0 + tol,
-        witness_f=func_to_json(f),
-        witness_g=func_to_json(g) if g is not None else None,
+        witness_f=func_to_json(funcs[0]),
+        witness_g=func_to_json(funcs[1]) if len(funcs) > 1 else None,
         spec=kernel_spec_to_json(spec),
         trace=tuple(trace),
     )

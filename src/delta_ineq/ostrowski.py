@@ -504,11 +504,9 @@ def _kernel_sup(spec: KernelSpec, f: Func) -> float:
     """M of the kernel bounds T5, T6a and T6b: sup |f^Delta| over (a, b),
     and over [a, b) when x == a, where P(a) = -beta/w (h(b) - h(a))/(b - a)
     need not vanish, so f^Delta(a) enters the integral of P f^Delta."""
-    m = sup_abs_delta_derivative(spec.ts, f, spec.a, spec.b)
     if spec.x == spec.a:
-        lo, hi = delta_derivative_range(spec.ts, f, spec.a, spec.b)
-        m = max(m, abs(lo), abs(hi))
-    return m
+        return max(map(abs, delta_derivative_range(spec.ts, f, spec.a, spec.b)))
+    return sup_abs_delta_derivative(spec.ts, f, spec.a, spec.b)
 
 
 def _check_bracket(ts: TimeScale, f: Func, a: float, b: float,

@@ -324,8 +324,8 @@ def test_korkine_witnesses_replay_bit_exact(monkeypatch):
     so the product rule at a dense t and all three crosscheck families too."""
     real_add = harness._IdentityAgg.add
 
-    def failing(self, residual, denom, tol):      # record every check's witness
-        real_add(self, residual, denom, tol)
+    def failing(self, residual, reference, tol):  # record every check's witness
+        real_add(self, residual, reference, tol)
         return False
 
     monkeypatch.setattr(harness._IdentityAgg, "add", failing)
