@@ -10,6 +10,7 @@ function of the configuration except for the wall-time field.
 from __future__ import annotations
 
 import dataclasses
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -134,12 +135,11 @@ class FuncFamily:
     def __post_init__(self) -> None:
         if self.kind not in FUNC_KINDS:
             raise ConfigError(f"unknown function kind {self.kind!r}")
-        if not self.value_range > 0.0:
-            raise ConfigError("value_range must be positive")
-        if self.max_degree < 0:
-            raise ConfigError("max_degree must be >= 0")
-        if not self.coeff_range > 0.0:
-            raise ConfigError("coeff_range must be positive")
+        for name in ("value_range", "coeff_range"):
+            if not 0.0 < getattr(self, name) <= sys.float_info.max:
+                raise ConfigError(f"{name} must be positive and no larger than a float holds")
+        if type(self.max_degree) is not int or self.max_degree < 0:
+            raise ConfigError("max_degree must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -162,16 +162,18 @@ class TrialConfig:
     fixed_scale: TimeScale | None = None
 
     def __post_init__(self) -> None:
+        if any(type(n) is not int for n in (self.seed, self.n_trials, *self.size_range)):
+            raise ConfigError("seed, trials and size_range take JSON integers only")
         if self.n_trials < 0:
             raise ConfigError("n_trials must be >= 0")
         object.__setattr__(self, "scale_families", tuple(self.scale_families))
         object.__setattr__(self, "variants", tuple(Variant(v) for v in self.variants))
-        object.__setattr__(self, "size_range", (int(self.size_range[0]), int(self.size_range[1])))
+        object.__setattr__(self, "size_range", tuple(self.size_range))
         lo, hi = self.size_range
         if not 3 <= lo <= hi:
             raise ConfigError("size_range needs 3 <= min <= max")
-        if not self.tolerance > 0.0:
-            raise ConfigError("tolerance must be positive")
+        if not 0.0 < self.tolerance <= sys.float_info.max:
+            raise ConfigError("tolerance must be finite and positive")
         if not self.variants:
             raise ConfigError("variants must not be empty")
         if len(set(self.variants)) < len(self.variants):
@@ -182,6 +184,8 @@ class TrialConfig:
             for fam in self.scale_families:
                 if not isinstance(fam, str) or fam not in SCALE_KINDS:
                     raise ConfigError(f"unknown scale family {fam!r}")
+        elif self.fixed_scale.sigma(self.fixed_scale.min_point) == self.fixed_scale.max_point:
+            raise ConfigError("a fixed discrete scale needs three points or more")
         continuous = (isinstance(self.fixed_scale, RealInterval)
                       or (self.fixed_scale is None and "real" in self.scale_families))
         if continuous and (self.func_family.kind != "poly" or self.weight_family.kind != "poly"):
@@ -226,14 +230,14 @@ def config_from_json(obj: dict, suite: str = "bounds") -> TrialConfig:
     base = TrialConfig()
     try:
         return TrialConfig(
-            seed=int(obj.get("seed", base.seed)),
-            n_trials=int(obj.get("trials", base.n_trials)),
+            seed=obj.get("seed", base.seed),
+            n_trials=obj.get("trials", base.n_trials),
             tolerance=float(obj.get("tolerance", base.tolerance)),
-            scale_families=tuple(obj.get("scales", base.scale_families)),
+            scale_families=_json_array(obj.get("scales", base.scale_families), "scales"),
             size_range=_json_array(obj.get("size_range", base.size_range), "size_range", 2),
             func_family=_family_from_json(obj.get("func", {}), base.func_family, func_keys),
             weight_family=_family_from_json(obj.get("weight", {}), base.weight_family),
-            variants=tuple(obj.get("variants", [v.value for v in base.variants])),
+            variants=_json_array(obj.get("variants", [v.value for v in base.variants]), "variants"),
             fixed_scale=scale_from_json(obj["scale"]) if "scale" in obj else None,
         )
     except (TypeError, ValueError, OverflowError) as exc:
@@ -595,6 +599,12 @@ def _bound_witness(seed: int, trial: int, rep: BoundReport, spec: KernelSpec,
     return w
 
 
+def _t7_chain(reports: dict) -> tuple[float, float]:
+    """(residual, reference) of the T7 ordering rhs(T7-L2) <= rhs(T7-Gruss)."""
+    l2, gruss = reports["T7-L2"].rhs, reports["T7-Gruss"].rhs
+    return max(0.0, l2 - gruss), gruss
+
+
 def run_bound_suite(config: TrialConfig, keep_rows: bool = False) -> SuiteReport:
     """Evaluate every theorem under the configured variants per trial.
 
@@ -615,10 +625,9 @@ def run_bound_suite(config: TrialConfig, keep_rows: bool = False) -> SuiteReport
         spec, f, g = _draw_trial(rng, config, with_g=True)
         gamma, big_gamma = delta_derivative_range(spec.ts, f, spec.a, spec.b)
         once, reports = evaluate_bounds(spec, f, g, config.variants, gamma, big_gamma)
-        t7_l2, t7_gruss = once["T7-L2"], once["T7-Gruss"]
-        rec.check("t7-chain", lambda: _bound_witness(config.seed, i, t7_l2, spec, f, None,
+        rec.check("t7-chain", lambda: _bound_witness(config.seed, i, once["T7-L2"], spec, f, None,
                                                      gamma, big_gamma) | {"check": "t7-chain"},
-                  max(0.0, t7_l2.rhs - t7_gruss.rhs), t7_gruss.rhs)
+                  *_t7_chain(once))
 
         for rep in reports:
             if keep_rows:
@@ -783,7 +792,8 @@ def _row(table: dict, key, what: str):
 
 def replay_witness(witness: dict) -> dict:
     """Recompute a recorded witness standalone; returns the fresh numbers.
-    An identity witness is replayed through its row of IDENTITY_CHECKS."""
+    An identity witness is replayed through its row of IDENTITY_CHECKS; a
+    t7-chain witness also gives the chain's residual and denominator."""
     if not isinstance(witness, dict) or "kind" not in witness:
         raise ConfigError("witness must be an object with a 'kind' field")
     witness = _Witness(witness)
@@ -794,8 +804,14 @@ def replay_witness(witness: dict) -> dict:
         bound = _row(BOUNDS, witness["theorem"], "theorem id")
         variant = _row(_VARIANTS, witness["variant"], "variant")
         g = func_from_json(witness["g"]) if "g" in witness else None
-        rep = bound(spec, f, g, variant, witness.get("gamma"), witness.get("big_gamma"))
-        return {"lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack}
+        gammas = witness.get("gamma"), witness.get("big_gamma")
+        rep = bound(spec, f, g, variant, *gammas)
+        out = {"lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack}
+        if witness.get("check") == "t7-chain":
+            residual, reference = _t7_chain({name: BOUNDS[name](spec, f, None, variant, *gammas)
+                                             for name in ("T7-L2", "T7-Gruss")})
+            out |= {"residual": residual, "denom": _denom(reference)}
+        return out
     if kind == "identity":
         check = witness["check"]
         measured = _row(IDENTITY_CHECKS, check, "identity check")[1](spec, f, witness)

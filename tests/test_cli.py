@@ -440,6 +440,40 @@ def test_overflowing_qlattice_is_config_error(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("scale", [{"kind": "grid", "points": [0, 1]},
+                                   {"kind": "integer", "lo": 0, "hi": 1},
+                                   {"kind": "qlattice", "q": 2, "kmin": 0, "kmax": 1}],
+                         ids=["grid", "integer", "qlattice"])
+def test_fixed_scale_without_an_interior_point_is_config_error(scale, tmp_path, capsys):
+    # x is drawn from the points strictly inside the scale; two points have none
+    out = tmp_path / "o.json"
+    for command in ("verify-identity", "verify-bounds"):
+        argv = [command, "--trials", "2", "--scale", json.dumps(scale), "--out", str(out)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "three points" in err and "Traceback" not in err
+        assert not out.exists()
+    three = {**scale, "points": [0, 1, 2]} if "points" in scale else {
+        **scale, ("hi" if "hi" in scale else "kmax"): 2}
+    assert run(["verify-identity", "--trials", "2", "--scale", json.dumps(three),
+                "--out", str(out)]) == 0
+
+
+def test_infinite_tolerance_is_config_error(tmp_path, capsys):
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({"tolerance": float("inf")}))       # json writes Infinity
+    evalf = tmp_path / "ev.json"
+    evalf.write_text(json.dumps(WORKED_EVAL))
+    out = tmp_path / "o.json"
+    for argv in (["verify-identity", "--trials", "2", "--tol", "1e400"],
+                 ["verify-identity", "--trials", "2", "--config", str(cfgf)],
+                 ["eval", "--config", str(evalf), "--tol", "1e400"]):
+        assert run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "tolerance" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_stdout_when_no_out_flag(capsys):
     code = run(["verify-identity", "--trials", "3", "--seed", "1"])
     assert code == 0

@@ -40,7 +40,7 @@ from delta_ineq import harness
 from delta_ineq.harness import STEP_FLOOR
 from delta_ineq.ostrowski import BOUNDS
 from delta_ineq.timescale import _ScaleBase
-from test_golden import POLY_ALL_SCALES
+from test_golden import POLY_ALL_SCALES, REAL_POLY
 
 IDENT = Polynomial((0.0, 1.0))
 Z08_SPEC = KernelSpec(ts=IntegerInterval(0, 8), a=0.0, b=8.0, x=4.0,
@@ -120,6 +120,13 @@ def test_config_defaults_and_validation():
         TrialConfig(size_range=(2, 5))
     with pytest.raises(ConfigError):
         TrialConfig(tolerance=0.0)
+    for bad in ({"tolerance": float("inf")}, {"seed": 1.0}, {"n_trials": True},
+                {"size_range": (3.0, 8)}, {"fixed_scale": IntegerInterval(0, 1)}):
+        with pytest.raises(ConfigError):
+            TrialConfig(**bad)
+    for bad in ({"max_degree": 2.0}, {"value_range": float("inf")}, {"coeff_range": 10 ** 400}):
+        with pytest.raises(ConfigError):
+            FuncFamily(**bad)
     with pytest.raises(ConfigError):
         TrialConfig(scale_families=("moebius",))
     with pytest.raises(ConfigError):
@@ -520,6 +527,35 @@ def test_replay_witness_rejects_garbage():
                                           alpha=1.0, beta=1.0, h=IDENT))
     with pytest.raises(ConfigError, match="does not apply"):     # no sigma walk on R
         replay_witness({"kind": "identity", "check": "korkine", "spec": real, "f": f})
+
+
+def test_t7_chain_witness_replays_its_failure(monkeypatch):
+    """A t7-chain witness replays to the chain residual and denominator the
+    suite measured, bit for bit, from the witness's own gamma and Gamma; a
+    bound witness without the check gives neither."""
+    measured = []                               # (residual, reference) per trial
+    real_chain = harness._t7_chain
+
+    def recording(reports):
+        measured.append(real_chain(reports))
+        return measured[-1]
+
+    monkeypatch.setattr(harness, "_t7_chain", recording)
+    config = config_from_json(REAL_POLY | {"seed": 3, "trials": 40})
+    rep = run_bound_suite(config)
+    monkeypatch.undo()
+    assert len(measured) == 40
+    failures = json.loads(json_dumps(rep.to_json()))["failures"]
+    assert [(w["trial"], w["check"]) for w in failures] == [(7, "t7-chain"), (19, "t7-chain")]
+    for w in failures:
+        residual, reference = measured[w["trial"]]
+        fresh = replay_witness(w)
+        assert fresh["residual"].hex() == residual.hex()
+        assert fresh["denom"].hex() == max(1.0, abs(reference)).hex()
+        assert fresh["residual"] > config.tolerance * fresh["denom"]      # the failure shows
+        assert (fresh["lhs"], fresh["rhs"], fresh["slack"]) == (w["lhs"], w["rhs"], w["slack"])
+        plain = replay_witness({k: v for k, v in w.items() if k != "check"})
+        assert set(plain) == {"lhs", "rhs", "slack"}
 
 
 def test_replay_identity_witness_round_trip():

@@ -9,6 +9,10 @@ gamma and Gamma into ``_check_bracket``.  It parses only and runs no suite,
 so the overflow of a suite run on an accepted but extreme ``value_range``
 (ROADMAP.md, "every input ends as a result, a ConfigError or a recorded
 failure") stays a known, separate defect that this test does not reach.
+
+A second property takes every config that ``config_from_json`` accepts on
+to the first draw of a suite (``harness._draw_trial``), which must return
+or raise a DeltaIneqError too.
 """
 
 import math
@@ -26,7 +30,7 @@ from delta_ineq import (
     kernel_spec_from_json,
     scale_from_json,
 )
-from delta_ineq.harness import SUITE_CONFIG_KEYS
+from delta_ineq.harness import SUITE_CONFIG_KEYS, _draw_trial, trial_rng
 from delta_ineq.ostrowski import _check_bracket
 from test_cli import WORKED_EVAL
 
@@ -59,6 +63,29 @@ MISREAD = [
     (config_from_json, {"size_range": "35"}),
     (config_from_json, {"size_range": [3, 5, 9]}),
     (config_from_json, {"size_range": [5]}),
+    (config_from_json, {"scales": "grid"}),
+    (config_from_json, {"variants": "literal"}),
+]
+
+# numbers that were rounded, parsed or taken for an integer, and scales a
+# trial cannot draw x from: each is a ConfigError
+COERCED = [
+    {"trials": 2.7},
+    {"trials": "5"},
+    {"seed": True},
+    {"seed": 1.0},
+    {"size_range": [3.9, 5.2]},
+    {"size_range": [3, True]},
+    {"func": {"kind": "poly", "max_degree": 2.5}},
+    {"func": {"max_degree": True}},
+    {"weight": {"max_degree": "2"}},
+    {"func": {"value_range": 10 ** 400}},
+    {"weight": {"coeff_range": 10 ** 400}},
+    {"tolerance": math.inf},
+    {"tolerance": 1e400},
+    {"scale": {"kind": "grid", "points": [0, 1]}},
+    {"scale": {"kind": "integer", "lo": 0, "hi": 1}},
+    {"scale": {"kind": "qlattice", "q": 2, "kmin": 0, "kmax": 1}},
 ]
 
 
@@ -72,6 +99,18 @@ MISREAD = [
 @example("abc")
 @example(math.nan)
 @example({"repr": "poly", "coeffs": [10 ** 400]})
+@example({"scales": "grid"})
+@example({"variants": "literal"})
+@example({"trials": 2.7})
+@example({"trials": "5"})
+@example({"seed": True})
+@example({"size_range": [3.9, 5.2]})
+@example({"func": {"kind": "poly", "max_degree": 2.5}})
+@example({"func": {"max_degree": True}})
+@example({"tolerance": 1e400})
+@example({"scale": {"kind": "grid", "points": [0, 1]}})
+@example({"scale": {"kind": "integer", "lo": 0, "hi": 1}})
+@example({"scale": {"kind": "qlattice", "q": 2, "kmin": 0, "kmax": 1}})
 def test_parsers_return_or_raise_a_package_error(obj):
     for parse in PARSERS:
         try:
@@ -89,6 +128,95 @@ def test_parsers_return_or_raise_a_package_error(obj):
 def test_list_fields_take_only_json_arrays(parse, obj):
     with pytest.raises(ConfigError):
         parse(obj)
+
+
+@pytest.mark.parametrize("obj", COERCED)
+def test_config_numbers_are_not_coerced(obj):
+    for suite in SUITE_CONFIG_KEYS:
+        if set(obj) <= SUITE_CONFIG_KEYS[suite][0]:
+            with pytest.raises(ConfigError):
+                config_from_json(obj, suite)
+
+
+# ------------------------------------------------------- the first draw
+
+# values a config key should not take, the coerced ones among them
+ODD = st.sampled_from((None, True, False, 2.5, 3.9, "5", "grid", [3], {}, -1, 0,
+                       math.inf, math.nan, 10 ** 400))
+
+
+def mostly(valid):
+    """valid nine draws in ten, else an odd value."""
+    return st.integers(0, 9).flatmap(lambda k: valid if k else ODD)
+
+
+SMALL = st.integers(-2, 64)           # sizes and degrees: each draw stays small
+RANGE = st.floats(1e-6, 1e300)
+FAMILY_VALUES = {
+    "kind": mostly(st.sampled_from(("poly", "sampled"))),
+    "value_range": mostly(RANGE),
+    "max_degree": mostly(SMALL),
+    "coeff_range": mostly(RANGE),
+}
+SCALE = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("grid"),
+                           "points": st.lists(st.floats() | st.integers(), max_size=64)}),
+    st.tuples(st.integers(-2 ** 60, 2 ** 60), SMALL).map(
+        lambda lo_n: {"kind": "integer", "lo": lo_n[0], "hi": lo_n[0] + lo_n[1]}),
+    st.tuples(st.floats(1.0, 1e300), st.integers(-1100, 1100), SMALL).map(
+        lambda q_k_n: {"kind": "qlattice", "q": q_k_n[0], "kmin": q_k_n[1],
+                       "kmax": q_k_n[1] + q_k_n[2]}),
+    st.fixed_dictionaries({"kind": st.just("real"), "lo": st.floats(), "hi": st.floats()}),
+)
+CONFIG_VALUES = {
+    "seed": mostly(st.integers()),
+    "trials": mostly(st.integers(0, 3)),
+    "tolerance": mostly(st.floats(0.0, 1e300)),
+    "scales": mostly(st.lists(st.sampled_from(("grid", "integer", "qlattice", "real")),
+                              min_size=1, max_size=4)),
+    "size_range": mostly(st.lists(SMALL, min_size=2, max_size=2).map(sorted)),
+    "variants": mostly(st.lists(st.sampled_from(("literal", "corrected")), min_size=1,
+                                max_size=2, unique=True)),
+    "scale": mostly(SCALE),
+}
+
+
+def suite_configs(suite):
+    """(config object, suite), the object holding only keys the suite reads."""
+    keys, func_keys = SUITE_CONFIG_KEYS[suite]
+    family = {key: FAMILY_VALUES[key] for key in func_keys}
+    values = CONFIG_VALUES | {"func": mostly(st.fixed_dictionaries({}, optional=family)),
+                              "weight": mostly(st.fixed_dictionaries({}, optional=FAMILY_VALUES))}
+    return st.tuples(st.fixed_dictionaries({}, optional={key: values[key] for key in keys}),
+                     st.just(suite))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(SUITE_CONFIG_KEYS)).flatmap(suite_configs))
+@example(({"func": {"kind": "poly", "max_degree": 2.5}}, "bounds"))
+@example(({"func": {"max_degree": True}}, "bounds"))
+@example(({"size_range": [3.9, 5.2]}, "identity"))
+@example(({"scale": {"kind": "grid", "points": [0, 1]}}, "bounds"))
+@example(({"scale": {"kind": "integer", "lo": 0, "hi": 1}}, "identity"))
+@example(({"scale": {"kind": "qlattice", "q": 2, "kmin": 0, "kmax": 1}}, "bounds"))
+@example(({"scale": {"kind": "integer", "lo": 2 ** 60, "hi": 2 ** 60 + 5}}, "bounds"))
+@example(({"func": {"value_range": 10 ** 400}}, "crosscheck"))
+@example(({"weight": {"kind": "poly", "coeff_range": 10 ** 400}}, "bounds"))
+def test_accepted_configs_draw_their_first_trial(case):
+    """The first draw of an accepted config returns or raises a package
+    error.  It runs no bound, so the overflow of a suite run on an extreme
+    value_range or coeff_range (ROADMAP.md, "every input ends as a result,
+    a ConfigError or a recorded failure") stays a separate, known defect."""
+    obj, suite = case
+    try:
+        config = config_from_json(obj, suite)
+    except DeltaIneqError:
+        return
+    for with_g in (False, True):
+        try:
+            _draw_trial(trial_rng(config.seed, 0), config, with_g)
+        except DeltaIneqError:
+            pass
 
 
 @pytest.mark.parametrize("end", ["abc", math.nan, math.inf, -math.inf, 10 ** 400, [1.0]])
