@@ -59,6 +59,7 @@ from .timescale import (
     SCALE_KINDS,
     TimeScale,
     _json_array,
+    _json_number,
     scale_from_json,
     scale_to_json,
 )
@@ -136,7 +137,7 @@ class FuncFamily:
         if self.kind not in FUNC_KINDS:
             raise ConfigError(f"unknown function kind {self.kind!r}")
         for name in ("value_range", "coeff_range"):
-            if not 0.0 < getattr(self, name) <= sys.float_info.max:
+            if not 0.0 < _json_number(getattr(self, name), name) <= sys.float_info.max:
                 raise ConfigError(f"{name} must be positive and no larger than a float holds")
         if type(self.max_degree) is not int or self.max_degree < 0:
             raise ConfigError("max_degree must be an integer >= 0")
@@ -232,7 +233,7 @@ def config_from_json(obj: dict, suite: str = "bounds") -> TrialConfig:
         return TrialConfig(
             seed=obj.get("seed", base.seed),
             n_trials=obj.get("trials", base.n_trials),
-            tolerance=float(obj.get("tolerance", base.tolerance)),
+            tolerance=float(_json_number(obj.get("tolerance", base.tolerance), "tolerance")),
             scale_families=_json_array(obj.get("scales", base.scale_families), "scales"),
             size_range=_json_array(obj.get("size_range", base.size_range), "size_range", 2),
             func_family=_family_from_json(obj.get("func", {}), base.func_family, func_keys),

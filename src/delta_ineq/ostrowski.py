@@ -22,7 +22,6 @@ never as engine failures.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -381,75 +380,64 @@ def kernel_moments(spec: KernelSpec) -> Moments:
 # Montgomery identity
 
 
-def _kept_per_spec(compute):
-    """Keep compute(spec, f) in f's ``_delta_memo``, once per KernelSpec.
+def _kernel_sums(spec: KernelSpec, f: Func) -> tuple[float, float, float]:
+    """(int P f^Delta, S(f), M) of f, in one pass over the spec's steps, then
+    its dense pieces.  S(f) = alpha/(x-a) * int_a^x h^Delta f(sigma) +
+    beta/(b-x) * int_x^b h^Delta f(sigma), a term only when its weight is
+    positive.  M, of T5, T6a and T6b, is sup |f^Delta| over (a, b), and over
+    [a, b) when x == a, where P(a) = -beta/w (h(b) - h(a))/(b - a) need not
+    vanish, so f^Delta(a) enters the integral of P f^Delta.
 
-    The entry lives on f, so a spec shared by many functions (the fixed
-    kernel of a sharpness search) keeps none of them alive.  It is keyed by
-    (id(spec), name) and holds the spec, which it tests with ``is``: it
+    Kept in f's ``_delta_memo``, so a spec shared by many functions (the
+    fixed kernel of a sharpness search) keeps none of them alive.  The entry
+    is keyed by id(spec) and holds the spec, which it tests with ``is``: it
     answers for that spec object only, and while it holds the spec no other
     object can take its id."""
-    name = compute.__name__
-
-    @functools.wraps(compute)
-    def kept(spec: KernelSpec, f: Func) -> float:
-        key = (id(spec), name)
-        entry = f._delta_memo.get(key)
-        if entry is None or entry[0] is not spec:
-            entry = f._delta_memo[key] = (spec, compute(spec, f))
+    key = (id(spec), "kernel sums")
+    entry = f._delta_memo.get(key)
+    if entry is not None and entry[0] is spec:
         return entry[1]
-
-    return kept
-
-
-@_kept_per_spec
-def montgomery_lhs(spec: KernelSpec, f: Func) -> float:
-    """Delta integral of P(x, t) * f^Delta(t) over [a, b)."""
-    mus, ps, _, _, dense = spec._grid
-    _, fds, _, _ = _step_table(spec.ts, f, spec.a, spec.b)
-    total = 0.0
-    for mu, p, fd in zip(mus, ps, fds):
-        total += mu * p * fd
-    for lo, hi, p in dense:
-        total += poly_definite(poly_mul(p, poly_derive(f.coeffs)), lo, hi)
-    return total
-
-
-def _sigma_mean_integral(spec: KernelSpec, f: Func, lo: float, hi: float) -> float:
-    """Delta integral of h^Delta(t) * f(sigma(t)) over [lo, hi), where lo
-    and hi are each one of the spec's a, x, b."""
-    if lo == hi:
-        return 0.0
-    mus, _, hds, k, dense = spec._grid
-    fv = _step_table(spec.ts, f, spec.a, spec.b)[2]
-    i = 0 if lo == spec.a else k
-    j = k if hi == spec.x else len(mus)
-    total = 0.0
-    for mu, hd, fs in zip(mus[i:j], hds[i:j], fv[i + 1:j + 1]):
-        total += mu * hd * fs
-    for plo, phi, _ in dense:
-        if lo <= plo and phi <= hi:
-            total += poly_definite(poly_mul(poly_derive(spec.h.coeffs), f.coeffs), plo, phi)
-    return total
-
-
-@_kept_per_spec
-def _mean_side(spec: KernelSpec, f: Func) -> float:
-    """S(f) = alpha/(x-a) * int_a^x h^Delta f(sigma)
-            + beta/(b-x) * int_x^b h^Delta f(sigma)."""
+    mus, ps, hds, k, dense = spec._grid
+    _, fds, fv, _ = _step_table(spec.ts, f, spec.a, spec.b)
+    lhs = left = right = 0.0
+    for i, (mu, p, hd, fd, fs) in enumerate(zip(mus, ps, hds, fds, fv[1:])):
+        lhs += mu * p * fd
+        if i < k:
+            left += mu * hd * fs
+        else:
+            right += mu * hd * fs
+    if dense:
+        fd_coeffs = poly_derive(f.coeffs)
+        hd_f = poly_mul(poly_derive(spec.h.coeffs), f.coeffs)
+        for lo, hi, p in dense:      # split at x, so each lies on one side of it
+            lhs += poly_definite(poly_mul(p, fd_coeffs), lo, hi)
+            if hi <= spec.x:
+                left += poly_definite(hd_f, lo, hi)
+            else:
+                right += poly_definite(hd_f, lo, hi)
+        fds = _derivative_candidates(spec.ts, f, spec.a, spec.b, spec.x != spec.a)
+    elif spec.x != spec.a:
+        fds = fds[1:]
     s = 0.0
     if spec.alpha > 0.0:
-        s += spec.alpha / (spec.x - spec.a) * _sigma_mean_integral(spec, f, spec.a, spec.x)
+        s += spec.alpha / (spec.x - spec.a) * left
     if spec.beta > 0.0:
-        s += spec.beta / (spec.b - spec.x) * _sigma_mean_integral(spec, f, spec.x, spec.b)
-    return s
+        s += spec.beta / (spec.b - spec.x) * right
+    sums = (lhs, s, max(map(abs, fds), default=0.0))
+    f._delta_memo[key] = (spec, sums)
+    return sums
+
+
+def montgomery_lhs(spec: KernelSpec, f: Func) -> float:
+    """Delta integral of P(x, t) * f^Delta(t) over [a, b)."""
+    return _kernel_sums(spec, f)[0]
 
 
 def montgomery_rhs(spec: KernelSpec, f: Func) -> float:
     """Closed side of the identity:
     f(x)/(alpha+beta) * bracket - S(f)/(alpha+beta)."""
     w = spec.alpha + spec.beta
-    return feval(f, spec.x) * spec._bracket / w - _mean_side(spec, f) / w
+    return feval(f, spec.x) * spec._bracket / w - _kernel_sums(spec, f)[1] / w
 
 
 def identity_residual(spec: KernelSpec, f: Func) -> float:
@@ -490,23 +478,13 @@ def sup_abs_delta_derivative(ts: TimeScale, f: Func, a: float, b: float) -> floa
     locating interior extrema through the roots of f''.
     """
     vals = _derivative_candidates(ts, f, a, b, open_interval=True)
-    return max((abs(v) for v in vals), default=0.0)
+    return max(map(abs, vals), default=0.0)
 
 
 def delta_derivative_range(ts: TimeScale, f: Func, a: float, b: float) -> tuple[float, float]:
     """Exact (min, max) of f^Delta over [a, b) (closure on a real interval)."""
     vals = _derivative_candidates(ts, f, a, b, open_interval=False)
     return min(vals), max(vals)
-
-
-@_kept_per_spec
-def _kernel_sup(spec: KernelSpec, f: Func) -> float:
-    """M of the kernel bounds T5, T6a and T6b: sup |f^Delta| over (a, b),
-    and over [a, b) when x == a, where P(a) = -beta/w (h(b) - h(a))/(b - a)
-    need not vanish, so f^Delta(a) enters the integral of P f^Delta."""
-    if spec.x == spec.a:
-        return max(map(abs, delta_derivative_range(spec.ts, f, spec.a, spec.b)))
-    return sup_abs_delta_derivative(spec.ts, f, spec.a, spec.b)
 
 
 def _check_bracket(ts: TimeScale, f: Func, a: float, b: float,
@@ -543,14 +521,13 @@ def _clamped_variance(v: float) -> float:
 
 def bound_t5(spec: KernelSpec, f: Func, variant: Variant = Variant.CORRECTED) -> BoundReport:
     """First-derivative bound: |montgomery_rhs| <= M * int |P|, with M the
-    sup of |f^Delta| of _kernel_sup.
+    sup of |f^Delta| of _kernel_sums.
 
     The literal variant divides the right side by (alpha + beta), as
     printed; that normalization is not scale invariant and can be violated.
     """
     lhs = abs(montgomery_rhs(spec, f))
-    m = _kernel_sup(spec, f)
-    rhs = m * kernel_moments(spec).int_abs_p
+    rhs = _kernel_sums(spec, f)[2] * kernel_moments(spec).int_abs_p
     if variant is Variant.PAPER_LITERAL:
         rhs /= spec.alpha + spec.beta
     return BoundReport("T5", variant, lhs, rhs, rhs - lhs)
@@ -568,10 +545,9 @@ def bound_t6a(spec: KernelSpec, f: Func, g: Func,
     w = spec.alpha + spec.beta
     fx = feval(f, spec.x)
     gx = feval(g, spec.x)
-    lhs = abs(fx * gx * spec._bracket / w
-              - (gx * _mean_side(spec, f) + fx * _mean_side(spec, g)) / (2.0 * w))
-    m1 = _kernel_sup(spec, f)
-    m2 = _kernel_sup(spec, g)
+    _, sf, m1 = _kernel_sums(spec, f)
+    _, sg, m2 = _kernel_sums(spec, g)
+    lhs = abs(fx * gx * spec._bracket / w - (gx * sf + fx * sg) / (2.0 * w))
     rhs = (m1 * abs(gx) + m2 * abs(fx)) / 2.0 * kernel_moments(spec).int_abs_p
     if variant is Variant.PAPER_LITERAL:
         rhs /= w
@@ -596,13 +572,13 @@ def bound_t6b(spec: KernelSpec, f: Func, g: Func,
     bsum = spec._bracket
     fx = feval(f, spec.x)
     gx = feval(g, spec.x)
-    sf = _mean_side(spec, f)
-    sg = _mean_side(spec, g)
+    lf, sf, m1 = _kernel_sums(spec, f)
+    lg, sg, m2 = _kernel_sums(spec, g)
     t1 = fx * gx * bsum * bsum
     t2 = bsum * (fx * sg + gx * sf)
     t3 = sf * sg
     expanded = t1 - t2 + t3
-    factored = w * w * montgomery_lhs(spec, f) * montgomery_lhs(spec, g)
+    factored = w * w * lf * lg
     scale = max(1.0, abs(t1), abs(t2), abs(t3))
     if abs(expanded - factored) > CONSISTENCY_RTOL * scale:
         raise ConsistencyError(
@@ -611,7 +587,7 @@ def bound_t6b(spec: KernelSpec, f: Func, g: Func,
     iabs = kernel_moments(spec).int_abs_p
     rhs = w * w * iabs * iabs
     if variant is Variant.CORRECTED:
-        rhs *= _kernel_sup(spec, f) * _kernel_sup(spec, g)
+        rhs *= m1 * m2
     return BoundReport("T6b", variant, lhs, rhs, rhs - lhs)
 
 
@@ -874,9 +850,13 @@ def reduction_weighted_ostrowski(ts: TimeScale, f: Func, h: Func,
         raise ConfigError("the reduction needs a < x < b")
     spec = KernelSpec(ts=ts, a=a, b=b, x=x, alpha=x - a, beta=b - x, h=h)
     width = b - a
-    lhs = abs(feval(f, x) * (feval(h, b) - feval(h, a)) / width
-              - _sigma_mean_integral(spec, f, a, b) / width)
-    mus, _, _, k, dense = spec._grid
+    mus, _, hds, k, dense = spec._grid
+    mean = 0.0                  # int_a^b h^Delta f(sigma), in one left-to-right sum
+    for mu, hd, fs in zip(mus, hds, _step_table(ts, f, a, b)[2][1:]):
+        mean += mu * hd * fs
+    for lo, hi, _ in dense:
+        mean += poly_definite(poly_mul(poly_derive(h.coeffs), f.coeffs), lo, hi)
+    lhs = abs(feval(f, x) * (feval(h, b) - feval(h, a)) / width - mean / width)
     hv = _step_table(ts, h, a, b)[2]
     bracket = 0.0
     for i in range(k):

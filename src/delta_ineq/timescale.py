@@ -189,8 +189,9 @@ class IntegerInterval(_ScaleBase):
     def __post_init__(self) -> None:
         if not (isinstance(self.lo, int) and isinstance(self.hi, int)):
             raise ConfigError("IntegerInterval bounds must be integers")
-        if self.lo >= self.hi:
-            raise ConfigError("IntegerInterval needs lo < hi")
+        if not -2 ** 53 <= self.lo < self.hi <= 2 ** 53:
+            # past 2**53 neighbouring integers share a float, so points would collapse
+            raise ConfigError("IntegerInterval needs -2**53 <= lo < hi <= 2**53")
 
     @property
     def min_point(self) -> float:
@@ -350,10 +351,21 @@ def _json_array(value, what: str, n: int | None = None):
     return value
 
 
-# kind: (scale class, {JSON field: its parser}), the fields in wire order
-# after "kind"; scale_to_json and scale_from_json read only this table.
+def _json_number(value, what: str, integer: bool = False):
+    """value if it is a JSON number, or with integer set a JSON integer; a
+    bool, a numeric string or, for an integer, a float such as 3.0 is a
+    ConfigError."""
+    if not (type(value) is int or (type(value) is float and not integer)):
+        raise ConfigError(f"{what} must be a JSON {'integer' if integer else 'number'}, "
+                          f"got {value!r}")
+    return value
+
+
+# kind: (scale class, {JSON field: the value it takes, int an integer, float
+# a number, list an array of numbers}), the fields in wire order after
+# "kind"; scale_to_json and scale_from_json read only this table.
 SCALE_KINDS = {cls.kind: (cls, fields) for cls, fields in (
-    (FiniteGrid, {"points": lambda v: _json_array(v, "grid points")}),
+    (FiniteGrid, {"points": list}),
     (IntegerInterval, {"lo": int, "hi": int}),
     (QLattice, {"q": float, "kmin": int, "kmax": int}),
     (RealInterval, {"lo": float, "hi": float}),
@@ -377,8 +389,14 @@ def scale_from_json(obj: dict) -> TimeScale:
     if not isinstance(kind, str) or kind not in SCALE_KINDS:
         raise ConfigError(f"unknown scale kind {kind!r}")
     cls, fields = SCALE_KINDS[kind]
+
+    def parse(name: str, takes: type):
+        if takes is list:
+            return [_json_number(p, "grid point") for p in _json_array(obj[name], "grid points")]
+        return takes(_json_number(obj[name], f"scale field {name!r}", takes is int))
+
     try:
-        return cls(**{name: parse(obj[name]) for name, parse in fields.items()})
+        return cls(**{name: parse(name, takes) for name, takes in fields.items()})
     except KeyError as exc:
         raise ConfigError(f"scale JSON missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

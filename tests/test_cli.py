@@ -474,6 +474,46 @@ def test_infinite_tolerance_is_config_error(tmp_path, capsys):
         assert not out.exists()
 
 
+COERCED_SCALES = {
+    "integer-float-ends": ({"kind": "integer", "lo": 0.5, "hi": 4.9}, "JSON integer"),
+    "integer-string-end": ({"kind": "integer", "lo": "0", "hi": 4}, "JSON integer"),
+    "integer-bool-end": ({"kind": "integer", "lo": True, "hi": 4}, "JSON integer"),
+    "qlattice-float-exponent": ({"kind": "qlattice", "q": 2, "kmin": 0, "kmax": 3.7},
+                                "JSON integer"),
+    "grid-string-point": ({"kind": "grid", "points": [0, 1, "2"]}, "JSON number"),
+    "integer-past-2-53": ({"kind": "integer", "lo": 2 ** 60, "hi": 2 ** 60 + 5}, "2**53"),
+}
+COERCED_CONFIGS = {
+    "string-tolerance": ({"tolerance": "1e-3"}, "tolerance"),
+    "bool-value-range": ({"func": {"value_range": True}}, "value_range"),
+    "bool-coeff-range": ({"func": {"kind": "poly", "coeff_range": True}}, "coeff_range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COERCED_SCALES) + sorted(COERCED_CONFIGS))
+def test_coerced_scale_and_config_numbers_are_config_errors(case, tmp_path, capsys):
+    # each of these ran before, rounded or parsed into a number
+    if case in COERCED_SCALES:
+        scale, word = COERCED_SCALES[case]
+        extra = ["--scale", json.dumps(scale)]
+    else:
+        body, word = COERCED_CONFIGS[case]
+        cfgf = tmp_path / "c.json"
+        cfgf.write_text(json.dumps(body))
+        extra = ["--config", str(cfgf)]
+    out = tmp_path / "o.json"
+    assert run(["verify-identity", "--trials", "2", "--out", str(out)] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and word in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_tol_flag_still_sets_the_tolerance(tmp_path):
+    out = tmp_path / "o.json"
+    assert run(["verify-identity", "--trials", "2", "--tol", "1e-3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tolerance"] == 1e-3
+
+
 def test_stdout_when_no_out_flag(capsys):
     code = run(["verify-identity", "--trials", "3", "--seed", "1"])
     assert code == 0

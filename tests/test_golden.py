@@ -48,6 +48,36 @@ SHARPNESS_T6B = {
              "h": {"repr": "poly", "coeffs": [0.0, 1.0]}},
     "config": {"trials": 400},
 }
+# the other theorems the sharpness search scores, each on its own scale kind
+SHARPNESS_T5 = {
+    "theorem": "T5",
+    "spec": {"scale": {"kind": "grid", "points": [0, 0.5, 1.25, 2, 3.5, 4, 5.75]},
+             "a": 0, "b": 5.75, "x": 1.25, "alpha": 0.75, "beta": 1.5,
+             "h": {"repr": "poly", "coeffs": [0.0, 1.0, 0.25]}},
+    "config": {"trials": 300},
+}
+SHARPNESS_T6A = {
+    "theorem": "T6a",
+    "spec": {"scale": {"kind": "qlattice", "q": 1.5, "kmin": -2, "kmax": 5},
+             "a": 0.4444444444444444, "b": 7.59375, "x": 1.5, "alpha": 2.0, "beta": 0.5,
+             "h": {"repr": "poly", "coeffs": [0.25, -1.0, 0.5]}},
+    "config": {"trials": 300},
+}
+SHARPNESS_T8 = {
+    "theorem": "T8",
+    "spec": {"scale": {"kind": "integer", "lo": -3, "hi": 6},
+             "a": -3, "b": 6, "x": 1, "alpha": 0.4, "beta": 3.0,
+             "h": {"repr": "poly", "coeffs": [0.5, -1.25, 0.75, 0.3]}},
+    "config": {"trials": 300},
+}
+# x = a with alpha = 0: M1 and M2 take f^Delta(a) and g^Delta(a) in
+SHARPNESS_T6B_ANCHOR = {
+    "theorem": "T6b",
+    "spec": {"scale": {"kind": "integer", "lo": 0, "hi": 8},
+             "a": 0, "b": 8, "x": 0, "alpha": 0, "beta": 1.5,
+             "h": {"repr": "poly", "coeffs": [0.0, 1.0]}},
+    "config": {"trials": 300},
+}
 
 # name: (argv, config file body or None, exit code, sha256 of the report)
 RUNS = {
@@ -76,6 +106,18 @@ RUNS = {
     "sharpness-t6b": (
         ["sharpness", "--seed", "2"], SHARPNESS_T6B, 0,
         "92101f49795542bd4687649dc19632102486fe096c973b4fac7c1a4bdcc552c0"),
+    "sharpness-t5": (
+        ["sharpness", "--seed", "3"], SHARPNESS_T5, 0,
+        "a79849602f5505680c71a3bf86094220f0853f59146e6d3b25426c561f13634d"),
+    "sharpness-t6a": (
+        ["sharpness", "--seed", "4"], SHARPNESS_T6A, 0,
+        "bd2facb086304b47a268047f1a687938f9bb5c4280570deddf129efe7fd29f4d"),
+    "sharpness-t8": (
+        ["sharpness", "--seed", "6"], SHARPNESS_T8, 0,
+        "e14977bd916d9742faf234d24fc6f51aafd68bc589eb33df317e81b90e166dc2"),
+    "sharpness-t6b-anchor": (
+        ["sharpness", "--seed", "8"], SHARPNESS_T6B_ANCHOR, 0,
+        "b59edebc9aea719acf07101c1879e4c2fef12178b787dd28aedcf03ce296a26d"),
     "eval": (
         ["eval", "--variant", "both"], EVAL_QLATTICE, 0,
         "39fe2ccdabcad4de45433a58599bb333589c467abdc0086edb80795d021e89ad"),

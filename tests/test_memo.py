@@ -12,6 +12,8 @@ import gc
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delta_ineq import (
     FiniteGrid,
@@ -43,9 +45,16 @@ from delta_ineq import (
     reduction_weighted_ostrowski,
     sup_abs_delta_derivative,
 )
-from delta_ineq.calculus import _step_table, _with_sample
+from delta_ineq.calculus import (
+    _step_table,
+    _with_sample,
+    poly_definite,
+    poly_derive,
+    poly_eval,
+    poly_mul,
+)
 from delta_ineq.harness import _int_f_gdelta
-from delta_ineq.ostrowski import _branch_coeffs, _kernel_sup
+from delta_ineq.ostrowski import _branch_coeffs, _kernel_sums, _roots_in
 
 CUBIC = Polynomial((0.5, -1.25, 0.75, 0.3))
 QUADRATIC = Polynomial((1.0, 0.5, -2.0))
@@ -292,13 +301,21 @@ DISCRETE_CASES = {
 
 
 def _ref_steps(ts, a, b):
+    if isinstance(ts, RealInterval):        # no right-scattered point
+        return []
     pts = ts.grid_points(a, b)
     return list(zip(pts, pts[1:] + [b]))
 
 
 def _ref_fds(ts, f, a, b, open_interval=False):
-    return [(feval(f, nxt) - feval(f, t)) / (nxt - t) for t, nxt in _ref_steps(ts, a, b)
-            if not (open_interval and t == a)]
+    """f^Delta per step, then on a real window f' at its ends and at the
+    roots of f''."""
+    fds = [(feval(f, nxt) - feval(f, t)) / (nxt - t) for t, nxt in _ref_steps(ts, a, b)
+           if not (open_interval and t == a)]
+    if isinstance(ts, RealInterval):
+        d = poly_derive(f.coeffs)
+        fds += [poly_eval(d, t) for t in [a, b] + _roots_in(poly_derive(d), a, b)]
+    return fds
 
 
 def _ref_kernel(spec):
@@ -322,6 +339,8 @@ def _ref_lhs(spec, f):
     for (t, nxt), (mu, p) in zip(_ref_steps(spec.ts, spec.a, spec.b), _ref_kernel(spec)):
         fd = (feval(f, nxt) - feval(f, t)) / mu
         total += mu * p * fd
+    for lo, hi, p in spec._grid[4]:         # the dense pieces, P as a polynomial
+        total += poly_definite(poly_mul(p, poly_derive(f.coeffs)), lo, hi)
     return total
 
 
@@ -333,6 +352,9 @@ def _ref_sigma_mean(spec, f, lo, hi):
         mu = nxt - t
         hd = (feval(spec.h, nxt) - feval(spec.h, t)) / mu
         total += mu * hd * feval(f, nxt)
+    for plo, phi, _ in spec._grid[4]:
+        if lo <= plo and phi <= hi:
+            total += poly_definite(poly_mul(poly_derive(spec.h.coeffs), f.coeffs), plo, phi)
     return total
 
 
@@ -728,7 +750,7 @@ def test_per_spec_sums_never_answer_for_another_spec():
         return KernelSpec(ts=ts, a=0, b=7, x=x, alpha=alpha, beta=1.5, h=h)
 
     def answers(spec):
-        got = (montgomery_lhs(spec, f), montgomery_rhs(spec, f), _kernel_sup(spec, f))
+        got = (montgomery_lhs(spec, f), montgomery_rhs(spec, f), _kernel_sums(spec, f)[2])
         assert _bits(got) == _bits((_ref_lhs(spec, f), _ref_rhs(spec, f), _ref_sup(spec, f)))
         return got
 
@@ -744,7 +766,7 @@ def test_per_spec_sums_never_answer_for_another_spec():
     for u, v in ((0, 1), (0, 2), (3, 4)):
         assert cold[u][0] != cold[v][0] and cold[u][1] != cold[v][1]
     assert cold[3][2] != cold[4][2]
-    assert sum(len(key) == 2 for key in f._delta_memo) == 3 * len(specs)
+    assert sum(len(key) == 2 for key in f._delta_memo) == len(specs)
 
     # a spec dropped and then recreated, equal or with another x
     dropped = make(4, table)
@@ -757,8 +779,70 @@ def test_per_spec_sums_never_answer_for_another_spec():
     # an entry under another spec's id is not read for this one
     stale, fresh = make(1, line), make(1, table)
     answers(stale)
-    f._delta_memo[(id(fresh), "montgomery_lhs")] = (stale, 1e300)
+    f._delta_memo[(id(fresh), "kernel sums")] = (stale, (1e300, 1e300, 1e300))
     assert montgomery_lhs(fresh, f) == _ref_lhs(fresh, f) != 1e300
+
+
+FLOATS = st.floats(-8.0, 8.0, allow_nan=False)
+
+
+@st.composite
+def kernel_sums_cases(draw):
+    """(spec, f) on one of the four scale kinds, over the whole scale or an
+    inner window: x interior, at a with alpha = 0 or at b with beta = 0; h
+    and f polynomials or, on a discrete scale, tables, and f perhaps a
+    sharpness candidate, a table with one sample moved by _with_sample."""
+    kind = draw(st.sampled_from(("grid", "integer", "qlattice", "real")))
+    n = draw(st.integers(3, 9))
+    if kind == "grid":
+        ts = FiniteGrid(tuple(0.25 * k for k in sorted(
+            draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n, unique=True)))))
+    elif kind == "integer":
+        lo = draw(st.integers(-10, 10))
+        ts = IntegerInterval(lo, lo + n - 1)
+    elif kind == "qlattice":
+        kmin = draw(st.integers(-4, 4))
+        ts = QLattice(draw(st.sampled_from((1.25, 1.5, 2.0, 3.0))), kmin, kmin + n - 1)
+    else:
+        lo = 0.25 * draw(st.integers(-16, 8))
+        ts = RealInterval(lo, lo + 0.25 * n)
+    if kind == "real":
+        a, b = ts.lo, ts.hi
+        inner = a + (b - a) * draw(st.integers(1, 63)) / 64
+    else:
+        pts = ts.all_points()
+        i = draw(st.integers(0, n - 3))
+        j = draw(st.integers(i + 2, n - 1))
+        a, b = pts[i], pts[j]
+        inner = pts[draw(st.integers(i + 1, j - 1))]
+    where = draw(st.sampled_from(("interior", "a", "b")))
+    alpha = 0.0 if where == "a" else draw(st.floats(0.25, 4.0))
+    beta = 0.0 if where == "b" else draw(st.floats(0.0 if where == "interior" else 0.25, 4.0))
+    x = {"interior": inner, "a": a, "b": b}[where]
+
+    def func():
+        if kind == "real" or draw(st.booleans()):
+            return Polynomial(tuple(draw(st.lists(FLOATS, min_size=1, max_size=4))))
+        return Sampled({t: draw(FLOATS) for t in ts.all_points()})
+
+    spec = KernelSpec(ts=ts, a=a, b=b, x=x, alpha=alpha, beta=beta, h=func())
+    f = func()
+    if isinstance(f, Sampled) and draw(st.booleans()):
+        window = ts.grid_points(a, b) + [b]
+        k = draw(st.integers(0, len(window) - 1))
+        f = _with_sample(ts, f, a, b, k, window[k], draw(FLOATS))
+    return spec, f
+
+
+@given(kernel_sums_cases())
+@settings(max_examples=300, deadline=None)
+def test_kernel_sums_equal_the_reference_sums_bit_for_bit(case):
+    spec, f = case
+    want = (_ref_lhs(spec, f), _ref_mean_side(spec, f), _ref_sup(spec, f))
+    for _ in range(2):                  # computed, then read from f's memo
+        assert _bits(_kernel_sums(spec, f)) == _bits(want)
+    assert _bits(montgomery_lhs(spec, f)) == _bits(want[0])
+    assert _bits(montgomery_rhs(spec, f)) == _bits(_ref_rhs(spec, f))
 
 
 # ---------------------------------------------------------------------------

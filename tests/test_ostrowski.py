@@ -58,8 +58,7 @@ from delta_ineq.ostrowski import (
     ROOT_REFINE_TOL,
     ROOT_SCAN_CELLS,
     _abs_definite,
-    _kernel_sup,
-    _mean_side,
+    _kernel_sums,
     _roots_in,
 )
 from test_golden import POLY_ALL_SCALES, REAL_POLY
@@ -218,7 +217,7 @@ def _identity_scale(spec, f):
     residual's round-off scales with them, not with lhs."""
     w = spec.alpha + spec.beta
     return max(1.0, abs(montgomery_lhs(spec, f)),
-               abs(feval(f, spec.x) * spec._bracket) / w, abs(_mean_side(spec, f)) / w)
+               abs(feval(f, spec.x) * spec._bracket) / w, abs(_kernel_sums(spec, f)[1]) / w)
 
 
 def test_identity_residual_of_a_steep_kernel_is_round_off_of_its_terms():
@@ -229,7 +228,7 @@ def test_identity_residual_of_a_steep_kernel_is_round_off_of_its_terms():
     h = Sampled({t: 2.0 if t == 1e-05 else 0.0 for t in pts})
     f = Sampled({t: 3.0 if t == 1e-05 else 0.0 for t in pts})
     spec = KernelSpec(ts=FiniteGrid(pts), a=0.0, b=2.0, x=1e-05, alpha=1.0, beta=0.0, h=h)
-    terms = max(abs(feval(f, spec.x) * spec._bracket), abs(_mean_side(spec, f)))
+    terms = max(abs(feval(f, spec.x) * spec._bracket), abs(_kernel_sums(spec, f)[1]))
     assert montgomery_lhs(spec, f) == 0.0 and 5e5 < terms < 7e5
     assert abs(identity_residual(spec, f)) <= math.ulp(terms)
 
@@ -365,7 +364,7 @@ def test_corrected_bounds_hold_with_x_at_a(arg):
     pts = spec.ts.all_points()
     for fn in (f, g):
         steps = [abs((feval(fn, s) - feval(fn, t)) / (s - t)) for t, s in zip(pts, pts[1:])]
-        assert _kernel_sup(spec, fn) == max(steps)
+        assert _kernel_sums(spec, fn)[2] == max(steps)
 
 
 def test_t6b_vanishing_kernel_is_exact():

@@ -86,6 +86,22 @@ COERCED = [
     {"scale": {"kind": "grid", "points": [0, 1]}},
     {"scale": {"kind": "integer", "lo": 0, "hi": 1}},
     {"scale": {"kind": "qlattice", "q": 2, "kmin": 0, "kmax": 1}},
+    {"tolerance": "1e-3"},
+    {"tolerance": True},
+    {"func": {"value_range": True}},
+    {"weight": {"kind": "poly", "coeff_range": True}},
+    {"scale": {"kind": "integer", "lo": 0.5, "hi": 4.9}},
+    {"scale": {"kind": "integer", "lo": "0", "hi": 4}},
+    {"scale": {"kind": "integer", "lo": True, "hi": 4}},
+    {"scale": {"kind": "integer", "lo": 0, "hi": 4.0}},
+    {"scale": {"kind": "qlattice", "q": 2, "kmin": 0, "kmax": 3.7}},
+    {"scale": {"kind": "qlattice", "q": "2", "kmin": 0, "kmax": 3}},
+    {"scale": {"kind": "qlattice", "q": 2, "kmin": False, "kmax": 3}},
+    {"scale": {"kind": "grid", "points": [0, 1, "2"]}},
+    {"scale": {"kind": "grid", "points": [0, True, 2]}},
+    {"scale": {"kind": "real", "lo": "0", "hi": 1},
+     "func": {"kind": "poly"}, "weight": {"kind": "poly"}},
+    {"scale": {"kind": "integer", "lo": 2 ** 60, "hi": 2 ** 60 + 5}},
 ]
 
 
@@ -217,6 +233,16 @@ def test_accepted_configs_draw_their_first_trial(case):
             _draw_trial(trial_rng(config.seed, 0), config, with_g)
         except DeltaIneqError:
             pass
+
+
+def test_integer_scale_ends_stop_at_two_to_the_53():
+    # every integer up to 2**53 is a float, so the points stay distinct
+    for lo, hi in ((2 ** 53 - 3, 2 ** 53), (-2 ** 53, -2 ** 53 + 3)):
+        ts = scale_from_json({"kind": "integer", "lo": lo, "hi": hi})
+        assert len(set(ts.all_points())) == 4
+    for lo, hi in ((2 ** 53 - 3, 2 ** 53 + 1), (-2 ** 53 - 1, 0), (2 ** 60, 2 ** 60 + 5)):
+        with pytest.raises(ConfigError, match=r"2\*\*53"):
+            scale_from_json({"kind": "integer", "lo": lo, "hi": hi})
 
 
 @pytest.mark.parametrize("end", ["abc", math.nan, math.inf, -math.inf, 10 ** 400, [1.0]])
