@@ -33,7 +33,7 @@ from .ostrowski import (
     montgomery_lhs,
     montgomery_rhs,
 )
-from .reporting import json_dumps, rows_to_csv
+from .reporting import csv_lines, json_pieces
 
 DEFAULT_SHARPNESS_SPEC = {
     "scale": {"kind": "integer", "lo": 0, "hi": 8},
@@ -130,24 +130,24 @@ def _overlay(obj, ns: argparse.Namespace, keys=("seed", "trials", "tolerance", "
     return obj
 
 
-def _write(text: str, out_path: str | None) -> None:
+def _write(pieces, out_path: str | None) -> None:
+    """Write the pieces of a report one at a time to out_path, opened before
+    the first piece is made, or to stdout; the two get the same text."""
     if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.writelines(pieces)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _run_suite(ns: argparse.Namespace, runner, suite: str) -> int:
     config = config_from_json(_overlay(_load_config_file(ns.config), ns), suite)
     if getattr(ns, "format", "json") == "csv":     # verify-bounds only
         report = runner(config, keep_rows=True)
-        _write(rows_to_csv(report.rows), ns.out)
+        _write(csv_lines(report.rows), ns.out)
     else:
         report = runner(config)
-        _write(json_dumps(report.to_json()), ns.out)
+        _write(json_pieces(report.to_json()), ns.out)
     return 0 if report.passed else 2
 
 
@@ -163,7 +163,7 @@ def _run_sharpness(ns: argparse.Namespace) -> int:
     config = config_from_json(_overlay(config_obj, ns, ("seed", "trials", "tolerance")),
                               "sharpness")
     result = sharpness_search(theorem, spec, config)
-    _write(json_dumps(result.to_json()), ns.out)
+    _write(json_pieces(result.to_json()), ns.out)
     return 2 if result.violation else 0
 
 
@@ -189,7 +189,7 @@ def _run_eval(ns: argparse.Namespace) -> int:
     failures = [row for row in failing if row["variant"] == Variant.CORRECTED.value]
 
     if ns.format == "csv":
-        _write(rows_to_csv(rows), ns.out)
+        _write(csv_lines(rows), ns.out)
     else:
         payload = {
             "montgomery": {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs},
@@ -201,7 +201,7 @@ def _run_eval(ns: argparse.Namespace) -> int:
             "findings": findings,
             "failures": failures,
         }
-        _write(json_dumps(payload), ns.out)
+        _write(json_pieces(payload), ns.out)
     return 2 if failures else 0
 
 

@@ -10,6 +10,7 @@ function of the configuration except for the wall-time field.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import sys
 import time
 from dataclasses import dataclass, field
@@ -579,24 +580,24 @@ def bound_row(trial: int, rep: BoundReport, spec: KernelSpec, tol: float) -> dic
     }
 
 
-def _bound_witness(seed: int, trial: int, rep: BoundReport, spec: KernelSpec,
-                   f: Func, g: Func | None, gamma: float, big_gamma: float) -> dict:
+def _bound_witness(seed: int, trial: int, rep: BoundReport, spec_json: dict,
+                   f_json: dict, g_json: dict | None, gamma: float, big_gamma: float) -> dict:
     w = {
         "kind": "bound",
         "seed": seed,
         "trial": trial,
         "theorem": rep.theorem,
         "variant": rep.variant.value,
-        "spec": kernel_spec_to_json(spec),
-        "f": func_to_json(f),
+        "spec": spec_json,
+        "f": f_json,
         "gamma": gamma,
         "big_gamma": big_gamma,
         "lhs": rep.lhs,
         "rhs": rep.rhs,
         "slack": rep.slack,
     }
-    if g is not None:
-        w["g"] = func_to_json(g)
+    if g_json is not None:
+        w["g"] = g_json
     return w
 
 
@@ -614,7 +615,9 @@ def run_bound_suite(config: TrialConfig, keep_rows: bool = False) -> SuiteReport
     identical across variants.  gamma, Gamma are the exact range of f^Delta.
     The L2-vs-Gruss ordering of the T7 right sides is asserted per trial.
     The per-evaluation rows, which only CSV output writes, are kept only
-    with keep_rows.
+    with keep_rows.  The JSON of a trial's spec, f and g is built when a
+    witness of the trial first needs it, and every witness of the trial
+    holds that one object.
     """
     keys = sorted(f"{name}/{v.value}" for v in config.variants for name in THEOREMS)
     aggs: dict = {key: _BoundAgg() for key in keys}
@@ -626,16 +629,19 @@ def run_bound_suite(config: TrialConfig, keep_rows: bool = False) -> SuiteReport
         spec, f, g = _draw_trial(rng, config, with_g=True)
         gamma, big_gamma = delta_derivative_range(spec.ts, f, spec.a, spec.b)
         once, reports = evaluate_bounds(spec, f, g, config.variants, gamma, big_gamma)
-        rec.check("t7-chain", lambda: _bound_witness(config.seed, i, once["T7-L2"], spec, f, None,
-                                                     gamma, big_gamma) | {"check": "t7-chain"},
-                  *_t7_chain(once))
+        spec_json = functools.cache(lambda: kernel_spec_to_json(spec))
+        f_json = functools.cache(lambda: func_to_json(f))
+        g_json = functools.cache(lambda: func_to_json(g))
+        rec.check("t7-chain", lambda: _bound_witness(config.seed, i, once["T7-L2"], spec_json(),
+                                                     f_json(), None, gamma, big_gamma)
+                  | {"check": "t7-chain"}, *_t7_chain(once))
 
         for rep in reports:
             if keep_rows:
                 rec.rows.append(bound_row(i, rep, spec, config.tolerance))
             rec.check(f"{rep.theorem}/{rep.variant.value}",
-                      lambda: _bound_witness(config.seed, i, rep, spec, f,
-                                             g if rep.theorem in READS_G else None,
+                      lambda: _bound_witness(config.seed, i, rep, spec_json(), f_json(),
+                                             g_json() if rep.theorem in READS_G else None,
                                              gamma, big_gamma),
                       rep, finding=rep.variant is not Variant.CORRECTED)
 

@@ -57,6 +57,7 @@ from .timescale import (
     QLattice,
     RealInterval,
     TimeScale,
+    _json_number,
     scale_from_json,
     scale_to_json,
 )
@@ -128,6 +129,13 @@ class KernelSpec:
         if not (interior or (self.x == self.a and self.alpha == 0.0)
                 or (self.x == self.b and self.beta == 0.0)):
             raise ConfigError("x must be interior unless its branch weight is zero")
+        try:
+            finite = all(math.isfinite(c) for c in _branch_coeffs(self))
+        except ZeroDivisionError:       # (alpha + beta)(x - a) or (b - x) underflows to 0
+            finite = False
+        if not finite:
+            raise ConfigError("kernel branch coefficients alpha/((alpha+beta)(x-a)) and "
+                              "beta/((alpha+beta)(b-x)) must be finite")
 
     @cached_property
     def _grid(self) -> tuple[list[float], list[float], list[float], int, tuple]:
@@ -235,8 +243,8 @@ def kernel_spec_from_json(obj: dict) -> KernelSpec:
     try:
         return KernelSpec(
             ts=scale_from_json(obj["scale"]),
-            a=float(obj["a"]), b=float(obj["b"]), x=float(obj["x"]),
-            alpha=float(obj["alpha"]), beta=float(obj["beta"]),
+            **{name: float(_json_number(obj[name], f"kernel spec field {name!r}"))
+               for name in ("a", "b", "x", "alpha", "beta")},
             h=func_from_json(obj["h"]),
         )
     except KeyError as exc:
@@ -560,30 +568,20 @@ def bound_t6b(spec: KernelSpec, f: Func, g: Func,
 
         f(x)g(x)B**2 - B(f(x)S(g) + g(x)S(f)) + S(f)S(g)
 
-    factors exactly as w**2 * (int P f^Delta)(int P g^Delta).  Both routes
-    are computed and must agree; the factored one is reported, because the
-    expanded sum cancels catastrophically near sharp or degenerate kernels
-    (e.g. a kernel that vanishes identically leaves ~1e-9 of float noise in
-    the four-term route while the factored product is exactly zero).
+    factors exactly as w**2 * (int P f^Delta)(int P g^Delta), and only the
+    factored form is computed.  The four-term sum cancels catastrophically
+    near sharp or degenerate kernels (a kernel that vanishes identically
+    leaves ~1e-9 of float noise in it while the factored product is exactly
+    zero), and the two forms differ only by the Montgomery identity for f
+    times the one for g, which the identity suite's montgomery-identity row
+    already records.
     rhs (corrected) = w**2 M1 M2 (int |P|)**2; the literal printing omits
     the M1 M2 factor.
     """
     w = spec.alpha + spec.beta
-    bsum = spec._bracket
-    fx = feval(f, spec.x)
-    gx = feval(g, spec.x)
-    lf, sf, m1 = _kernel_sums(spec, f)
-    lg, sg, m2 = _kernel_sums(spec, g)
-    t1 = fx * gx * bsum * bsum
-    t2 = bsum * (fx * sg + gx * sf)
-    t3 = sf * sg
-    expanded = t1 - t2 + t3
-    factored = w * w * lf * lg
-    scale = max(1.0, abs(t1), abs(t2), abs(t3))
-    if abs(expanded - factored) > CONSISTENCY_RTOL * scale:
-        raise ConsistencyError(
-            f"expanded product form {expanded} disagrees with factored {factored}")
-    lhs = abs(factored)
+    lf, _, m1 = _kernel_sums(spec, f)
+    lg, _, m2 = _kernel_sums(spec, g)
+    lhs = abs(w * w * lf * lg)
     iabs = kernel_moments(spec).int_abs_p
     rhs = w * w * iabs * iabs
     if variant is Variant.CORRECTED:
@@ -744,7 +742,9 @@ def gruss_variance_check(ts: TimeScale, f: Func, a: float, b: float,
     """Variance envelope behind the Gruss step.
 
     Returns (variance, bound) where variance = mean((f^Delta)^2) - mean^2
-    and bound = ((Gamma - gamma)/2)**2; the first never exceeds the second.
+    and bound = ((Gamma - gamma)/2)**2; the first never exceeds the second
+    in exact arithmetic.  The identity suite's variance-envelope row judges
+    the pair.
     """
     a = ts.canon(a)
     b = ts.canon(b)
@@ -753,8 +753,6 @@ def gruss_variance_check(ts: TimeScale, f: Func, a: float, b: float,
     drift = (feval(f, b) - feval(f, a)) / width
     variance = _fd_variance(ts, f, a, b, drift)
     bound = (0.5 * (big_gamma - gamma)) ** 2
-    if variance > bound + CONSISTENCY_RTOL * max(1.0, bound):
-        raise ConsistencyError(f"variance {variance} exceeds range bound {bound}")
     return variance, bound
 
 

@@ -7,6 +7,10 @@ finite float in repr form, so it reads back as the same float, -0.0 and
 json.loads reads back.  CSV writes a float with 17 significant digits.
 The CSV dialect is fixed and versioned: first line ``# delta-ineq v1``,
 then the column header, then one row per evaluated bound.
+
+Both are made piece by piece (json_pieces, csv_lines), so a report can be
+written without its whole text in memory; json_dumps and rows_to_csv join
+the same pieces into one string.
 """
 
 from __future__ import annotations
@@ -23,29 +27,52 @@ def fmt17(x: float) -> str:
     return f"{x:.17g}"
 
 
-def json_dumps(obj) -> str:
-    """JSON text of a report, one item of its top two levels per line.
+def json_pieces(obj):
+    """The JSON text of a report, piece by piece, one item of its top two
+    levels per line.
 
     A value two levels down (a check aggregate, a finding or failure
     witness, a bound row, a witness table) is written on its own line by
     json.dumps with no indent, which runs the C encoder; with an indent,
-    json falls back to the pure-Python one.  json.loads of the text gives
-    what it gives for json.dumps(obj, indent=2).
+    json falls back to the pure-Python one.  A piece is one such value, a
+    bracket, or a separator with the key that follows it, so a sink that
+    takes the pieces one at a time never holds the whole text.  json.loads of the joined text gives what it gives for
+    json.dumps(obj, indent=2).
     """
     return _laid_out(obj, 0)
 
 
-def _laid_out(obj, depth: int) -> str:
+def json_dumps(obj) -> str:
+    """The JSON text of a report: the pieces of json_pieces, joined."""
+    return "".join(json_pieces(obj))
+
+
+def write_json(obj, fh) -> None:
+    """Write the JSON text of a report to fh, one piece at a time."""
+    fh.writelines(json_pieces(obj))
+
+
+def _laid_out(obj, depth: int):
     if depth == 2 or not isinstance(obj, (dict, list, tuple)) or not obj:
-        return json.dumps(obj)
+        yield json.dumps(obj)
+        return
     inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    sep = inner
     if isinstance(obj, dict):
-        # json.dumps({k: 0}) turns k into a string key as json.dumps(obj) does
-        items = [json.dumps({k: 0})[1:-4] + ": " + _laid_out(v, depth + 1)
-                 for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + outer + "}"
-    items = [_laid_out(v, depth + 1) for v in obj]
-    return "[" + inner + ("," + inner).join(items) + outer + "]"
+        yield "{"
+        for k, v in obj.items():
+            # json.dumps({k: 0}) turns k into a string key as json.dumps(obj) does
+            yield sep + json.dumps({k: 0})[1:-4] + ": "
+            yield from _laid_out(v, depth + 1)
+            sep = "," + inner
+        yield outer + "}"
+    else:
+        yield "["
+        for v in obj:
+            yield sep
+            yield from _laid_out(v, depth + 1)
+            sep = "," + inner
+        yield outer + "]"
 
 
 def _csv_cell(value) -> str:
@@ -56,9 +83,14 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def rows_to_csv(rows: list[dict]) -> str:
-    """Bound rows in the fixed v1 layout."""
-    lines = [CSV_VERSION_LINE, ",".join(CSV_COLUMNS)]
+def csv_lines(rows: list[dict]):
+    """Bound rows in the fixed v1 layout, line by line."""
+    yield CSV_VERSION_LINE + "\n"
+    yield ",".join(CSV_COLUMNS) + "\n"
     for row in rows:
-        lines.append(",".join(_csv_cell(row[col]) for col in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+        yield ",".join(_csv_cell(row[col]) for col in CSV_COLUMNS) + "\n"
+
+
+def rows_to_csv(rows: list[dict]) -> str:
+    """Bound rows in the fixed v1 layout: the lines of csv_lines, joined."""
+    return "".join(csv_lines(rows))

@@ -1,15 +1,19 @@
 """Command line front end: dispatch, exit codes, output formats."""
 
 import dataclasses
+import io
 import json
 import re
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delta_ineq import cli
-from delta_ineq.reporting import CSV_VERSION_LINE, json_dumps
+from delta_ineq.harness import config_from_json, run_bound_suite
+from delta_ineq.reporting import CSV_VERSION_LINE, json_dumps, json_pieces, write_json
 from test_golden import WALL_TIME
 
 
@@ -144,6 +148,15 @@ def test_json_dumps_parses_as_the_indented_text(obj):
     # against float, key order and string keys
     want = json.dumps(json.loads(json.dumps(obj, indent=2)))
     assert json.dumps(json.loads(json_dumps(obj))) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_write_json_writes_the_text_of_json_dumps(obj):
+    buf = io.StringIO()
+    write_json(obj, buf)
+    # the same text, so it parses to what json_dumps's text parses to
+    assert buf.getvalue() == json_dumps(obj)
 
 
 def test_json_dumps_lays_out_two_levels():
@@ -508,6 +521,41 @@ def test_coerced_scale_and_config_numbers_are_config_errors(case, tmp_path, caps
     assert not out.exists()
 
 
+COERCED_SPECS = {
+    "string-x": {"x": "0.5"},
+    "string-a": {"a": "0"},
+    "bool-alpha": {"alpha": True},
+}
+
+
+@pytest.mark.parametrize("case", sorted(COERCED_SPECS))
+def test_coerced_kernel_spec_numbers_are_config_errors(case, tmp_path, capsys):
+    # each of these ran before, parsed into a number by float()
+    cfgf = tmp_path / "ev.json"
+    cfgf.write_text(json.dumps(WORKED_EVAL | {"spec": WORKED_EVAL["spec"] | COERCED_SPECS[case]}))
+    out = tmp_path / "o.json"
+    assert run(["eval", "--config", str(cfgf), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "JSON number" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_eval_rejects_a_kernel_whose_branch_coefficient_underflows(tmp_path, capsys):
+    # (alpha + beta)(x - a) = 0.5 * 5e-324 rounds to 0, so alpha over it
+    # divided by zero
+    cfgf = tmp_path / "ev.json"
+    cfgf.write_text(json.dumps({
+        "spec": {"scale": {"kind": "real", "lo": 0, "hi": 0.75},
+                 "a": 0, "b": 0.75, "x": 5e-324, "alpha": 0.5, "beta": 0,
+                 "h": {"repr": "poly", "coeffs": [0.0, 1.0]}},
+        "f": {"repr": "poly", "coeffs": [0.0, 0.0, 1.0]}}))
+    out = tmp_path / "o.json"
+    assert run(["eval", "--config", str(cfgf), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "branch coefficients" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_tol_flag_still_sets_the_tolerance(tmp_path):
     out = tmp_path / "o.json"
     assert run(["verify-identity", "--trials", "2", "--tol", "1e-3", "--out", str(out)]) == 0
@@ -519,3 +567,79 @@ def test_stdout_when_no_out_flag(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["suite"] == "identity"
+
+
+WRITER_RUNS = {
+    "verify-identity": ["verify-identity", "--trials", "5"],
+    "verify-bounds": ["verify-bounds", "--trials", "5", "--variant", "both"],
+    "verify-bounds-csv": ["verify-bounds", "--trials", "5", "--format", "csv"],
+    "crosscheck": ["crosscheck", "--trials", "5"],
+    "sharpness": ["sharpness", "--trials", "50"],
+    "eval": ["eval"],
+    "eval-csv": ["eval", "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_RUNS))
+def test_stdout_and_out_get_the_same_bytes(name, tmp_path, capsysbinary):
+    argv = list(WRITER_RUNS[name])
+    if argv[0] == "eval":
+        cfgf = tmp_path / "ev.json"
+        cfgf.write_text(json.dumps(WORKED_EVAL))
+        argv += ["--config", str(cfgf)]
+    out = tmp_path / "report"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert run(argv) == 0
+    # the wall time is the one field two runs of a suite do not share
+    written, printed = (WALL_TIME.sub("", data.decode("utf-8"))
+                        for data in (out.read_bytes(), capsysbinary.readouterr().out))
+    assert printed == written and len(written) > 100
+
+
+class _RecordingSink:
+    """Standard out that keeps the length of each write."""
+
+    def __init__(self) -> None:
+        self.buf = io.StringIO()
+        self.sizes = []
+
+    def write(self, piece: str) -> int:
+        self.sizes.append(len(piece))
+        return self.buf.write(piece)
+
+    def writelines(self, pieces) -> None:
+        for piece in pieces:
+            self.write(piece)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_no_write_is_longer_than_a_line_of_the_report(fmt, monkeypatch):
+    sink = _RecordingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert run(["verify-bounds", "--trials", "40", "--seed", "7", "--variant", "both",
+                "--format", fmt]) == 0
+    text = sink.buf.getvalue()
+    report_lines = text.splitlines(keepends=True)
+    assert len(sink.sizes) >= len(report_lines) > 50
+    assert max(sink.sizes) <= max(map(len, report_lines))
+
+
+def test_the_writer_never_holds_the_report_text(tmp_path):
+    # the suite runs before the trace starts; under it, the CLI's writer
+    # turns the report into JSON and writes it to a file.  Joining the text
+    # first would hold at least the report's size, and encoding it for the
+    # file as much again.  (That main() writes line-sized pieces only is
+    # test_no_write_is_longer_than_a_line_of_the_report.)
+    report = run_bound_suite(config_from_json(
+        {"seed": 1, "trials": 300, "variants": ["literal", "corrected"]}, "bounds"))
+    out = tmp_path / "b.json"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli._write(json_pieces(report.to_json()), str(out))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 300_000 and json.loads(out.read_text())["findings"]
+    assert peak < size / 5, (peak, size)

@@ -324,6 +324,25 @@ def test_suites_build_witnesses_only_for_failing_checks(monkeypatch):
     assert calls["_bound_witness"] == len(literal.findings) + len(literal.failures) > 0
 
 
+def test_witnesses_of_one_bound_trial_share_its_spec_and_functions():
+    config = TrialConfig(seed=1, n_trials=60,
+                         variants=(Variant.PAPER_LITERAL, Variant.CORRECTED))
+    rep = run_bound_suite(config)
+    by_trial = {}
+    for w in rep.findings + rep.failures:
+        by_trial.setdefault(w["trial"], []).append(w)
+    shared = [ws for ws in by_trial.values() if len(ws) > 1]
+    assert shared
+    for ws in shared:
+        assert all(w["spec"] is ws[0]["spec"] and w["f"] is ws[0]["f"] for w in ws)
+        gs = [w["g"] for w in ws if "g" in w]
+        assert all(g is gs[0] for g in gs)
+        # each is still the JSON of the trial's own draw
+        spec, f, g = harness._draw_trial(trial_rng(1, ws[0]["trial"]), config, with_g=True)
+        assert ws[0]["spec"] == kernel_spec_to_json(spec) and ws[0]["f"] == func_to_json(f)
+        assert all(w_g == func_to_json(g) for w_g in gs)
+
+
 def test_korkine_witnesses_replay_bit_exact(monkeypatch):
     """Every identity witness of a suite run, written and read back as JSON,
     replays to its recorded residual bit for bit: all seven checks, on the

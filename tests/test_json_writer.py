@@ -1,4 +1,4 @@
-"""Report text has one writer: ``reporting.json_dumps``.
+"""Report text has one maker: ``reporting.json_pieces``.
 
 The report layout (which levels go one item per line, and that the C
 encoder writes the rest) is decided in ``reporting.py`` alone.  This test

@@ -57,9 +57,11 @@ from delta_ineq.harness import config_from_json, run_bound_suite
 from delta_ineq.ostrowski import (
     ROOT_REFINE_TOL,
     ROOT_SCAN_CELLS,
+    THEOREMS,
     _abs_definite,
     _kernel_sums,
     _roots_in,
+    evaluate_bounds,
 )
 from test_golden import POLY_ALL_SCALES, REAL_POLY
 from test_memo import _residual_bounds
@@ -109,6 +111,17 @@ def test_kernel_spec_rejects_non_finite_weights(alpha, beta):
     with pytest.raises(ConfigError):
         KernelSpec(ts=IntegerInterval(0, 4), a=0.0, b=4.0, x=2.0,
                    alpha=alpha, beta=beta, h=IDENT)
+
+
+@pytest.mark.parametrize("ts, x, alpha", [
+    # (alpha + beta)(x - a) = 0.5 * 5e-324 rounds to 0: alpha divides by zero
+    (RealInterval(0.0, 0.75), 5e-324, 0.5),
+    # alpha / ((alpha + beta)(x - a)) = 1e300 / 1e-10 overflows to inf
+    (RealInterval(0.0, 1.0), 1e-310, 1e300),
+], ids=["underflow", "overflow"])
+def test_kernel_spec_rejects_non_finite_branch_coefficients(ts, x, alpha):
+    with pytest.raises(ConfigError, match="branch coefficients"):
+        KernelSpec(ts=ts, a=0.0, b=ts.max_point, x=x, alpha=alpha, beta=0.0, h=IDENT)
 
 
 def test_kernel_spec_edge_x_with_zero_weight():
@@ -379,6 +392,25 @@ def test_t6b_vanishing_kernel_is_exact():
     assert rep.lhs == 0.0
     assert rep.rhs == 0.0
     assert rep.passes(1e-10)
+
+
+def test_every_bound_evaluates_where_the_printed_t6b_form_reads_round_off():
+    # int P g^Delta reads 1.1e-13 where the Montgomery identity's other side
+    # is exactly 0.  The printed four-term T6b form then reads 0.0 against
+    # the factored -1.344e-10, which the check that compared them took for
+    # an inconsistency; only the factored form is computed now.
+    ts = QLattice(1.01, 0, 3)
+    pts = ts.grid_points(ts.min_point, ts.max_point) + [ts.max_point]
+    h, f, g = (Sampled(dict(zip(pts, vals)))
+               for vals in ((0, 0, 0, 2), (0, 0, 0, 3), (0, 0, 4, 0)))
+    spec = KernelSpec(ts=ts, a=pts[0], b=pts[-1], x=1.01, alpha=0.0, beta=2.0, h=h)
+    assert montgomery_rhs(spec, g) == 0.0 and 0.0 < montgomery_lhs(spec, g) < 1e-12
+    _, reports = evaluate_bounds(spec, f, g, (Variant.PAPER_LITERAL, Variant.CORRECTED))
+    assert len(reports) == 2 * len(THEOREMS)
+    assert all(math.isfinite(r.lhs) and math.isfinite(r.rhs) for r in reports)
+    t6b = {r.variant: r for r in reports if r.theorem == "T6b"}
+    assert t6b[Variant.CORRECTED].lhs == pytest.approx(1.344e-10, rel=1e-3)
+    assert t6b[Variant.CORRECTED].slack > 1e6
 
 
 def test_t7_worked(worked):
