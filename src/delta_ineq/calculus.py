@@ -16,6 +16,7 @@ discrete scale has no dense piece and a real interval no scattered point.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -26,7 +27,7 @@ from .errors import (
     MissingSample,
     NotDifferentiable,
 )
-from .timescale import RealInterval, TimeScale, _json_array
+from .timescale import RealInterval, TimeScale, _json_array, _json_number
 
 # ---------------------------------------------------------------------------
 # plain polynomial coefficient arithmetic (ascending order)
@@ -132,20 +133,36 @@ def func_to_json(f: Func) -> dict:
     raise ConfigError(f"unknown function object {f!r}")
 
 
+def _json_finite(value, what: str) -> float:
+    """value as a float if it is a finite JSON number; anything else, NaN,
+    an infinity or an integer past the float range too, is a ConfigError."""
+    if not abs(_json_number(value, what)) <= sys.float_info.max:
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return float(value)
+
+
 def func_from_json(obj: dict) -> Func:
+    """Parse a function from {"repr": "poly", "coeffs": [...]} or
+    {"repr": "sampled", "table": [[t, f(t)], ...]}: finite JSON numbers
+    only, and each sample point once."""
     if not isinstance(obj, dict) or "repr" not in obj:
         raise ConfigError("function JSON must be an object with a 'repr' field")
     rep = obj["repr"]
     try:
         if rep == "poly":
-            return Polynomial(coeffs=_json_array(obj["coeffs"], "coeffs"))
+            return Polynomial(coeffs=tuple(_json_finite(c, f"function coeffs[{i}]") for i, c
+                                           in enumerate(_json_array(obj["coeffs"], "coeffs"))))
         if rep == "sampled":
-            return Sampled(table=dict(_json_array(pair, "table entry", 2)
-                                      for pair in _json_array(obj["table"], "table")))
+            table = {}
+            for i, pair in enumerate(_json_array(obj["table"], "table")):
+                t, v = _json_array(pair, "table entry", 2)
+                t = _json_finite(t, f"function table[{i}] point")
+                if t in table:
+                    raise ConfigError(f"function table[{i}] repeats the sample point {t!r}")
+                table[t] = _json_finite(v, f"function table[{i}] value")
+            return Sampled(table=table)
     except KeyError as exc:
         raise ConfigError(f"function JSON missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad function JSON: {exc}") from exc
     raise ConfigError(f"unknown function repr {rep!r}")
 
 

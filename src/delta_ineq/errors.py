@@ -55,7 +55,3 @@ class UnsupportedTheorem(DeltaIneqError):
 
 class ConfigError(DeltaIneqError):
     """Invalid configuration: bad construction arguments, config file, or CLI flags."""
-
-
-class ConsistencyError(DeltaIneqError):
-    """An internal dual-route computation disagreed beyond tolerance."""

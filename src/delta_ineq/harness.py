@@ -523,7 +523,8 @@ def _crosscheck(spec: KernelSpec, f: Func, w: dict) -> tuple[float, float] | Non
 # label: (the witness fields the check reads, (spec, f, fields) -> (residual,
 # reference) or None where it does not apply), in report order; _IdentityAgg
 # forms the denominator.  The sigma walk needs no dense piece (spec._grid[4]).
-# The suite and replay_witness run it.
+# The identity suite runs every row, the crosscheck suite its crosscheck row,
+# and replay_witness the row a witness names.
 IDENTITY_CHECKS = {
     "montgomery-identity": ((), lambda spec, f, w: (
         identity_residual(spec, f), montgomery_lhs(spec, f))),
@@ -649,10 +650,14 @@ def run_bound_suite(config: TrialConfig, keep_rows: bool = False) -> SuiteReport
 
 
 def run_crosscheck_suite(config: TrialConfig) -> SuiteReport:
-    """montgomery_rhs vs each family's closed form on draws of its scale class."""
+    """The crosscheck row of IDENTITY_CHECKS, montgomery_rhs vs each family's
+    closed form, on draws of the family's scale class; a failure is that
+    row's identity witness."""
     rec = _Recorder("crosscheck", config, {fam: _IdentityAgg() for fam in FAMILIES})
+    measure = IDENTITY_CHECKS["crosscheck"][1]
 
     for fam, (scale_class, _) in FAMILIES.items():
+        w = {"family": fam}
         poly = {"kind": "poly"} if fam == "R" else {}
         fam_config = dataclasses.replace(
             config, scale_families=(scale_class.kind,),
@@ -661,19 +666,9 @@ def run_crosscheck_suite(config: TrialConfig) -> SuiteReport:
         for i in range(config.n_trials):
             rng = trial_rng(config.seed, i)
             spec, f, _ = _draw_trial(rng, fam_config, with_g=False)
-            generic = montgomery_rhs(spec, f)
-            closed = closed_form_rhs(spec, f, fam)
-            rec.check(fam, lambda: {
-                "kind": "crosscheck",
-                "seed": config.seed,
-                "trial": i,
-                "family": fam,
-                "spec": kernel_spec_to_json(spec),
-                "f": func_to_json(f),
-                "generic": generic,
-                "closed": closed,
-                "diff": generic - closed,
-            }, generic - closed, closed)
+            measured = measure(spec, f, w)
+            rec.check(fam, lambda: _identity_witness(config.seed, i, "crosscheck", spec, f,
+                                                     *measured, **w), *measured)
 
     return rec.report()
 
@@ -825,8 +820,4 @@ def replay_witness(witness: dict) -> dict:
         if measured is None:
             raise ConfigError(f"identity check {check!r} does not apply to this witness")
         return {"residual": measured[0]}
-    if kind == "crosscheck":
-        generic = montgomery_rhs(spec, f)
-        closed = closed_form_rhs(spec, f, witness["family"])
-        return {"generic": generic, "closed": closed, "diff": generic - closed}
     raise ConfigError(f"unknown witness kind {kind!r}")

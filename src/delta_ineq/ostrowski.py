@@ -35,7 +35,6 @@ from .calculus import (
     feval,
     func_from_json,
     func_to_json,
-    h_monomial,
     poly_add,
     poly_definite,
     poly_derive,
@@ -45,7 +44,6 @@ from .calculus import (
 )
 from .errors import (
     ConfigError,
-    ConsistencyError,
     ContinuousScale,
     FamilyMismatch,
     InvalidBounds,
@@ -61,9 +59,6 @@ from .timescale import (
     scale_from_json,
     scale_to_json,
 )
-
-# Dual-route internal checks (expanded vs factored forms) use this.
-CONSISTENCY_RTOL = 1e-10
 
 # Negative variances inside this band are round-off and clamp to zero.
 VARIANCE_CLAMP = 1e-12
@@ -834,46 +829,17 @@ FAMILIES = {"Z": (IntegerInterval, _z_integral), "Q": (QLattice, _q_integral),
 
 def reduction_weighted_ostrowski(ts: TimeScale, f: Func, h: Func,
                                  a: float, b: float, x: float) -> BoundReport:
-    """Unweighted specialization alpha = x - a, beta = b - x.
+    """Unweighted specialization alpha = x - a, beta = b - x: corrected T5
+    of that kernel.
 
     lhs = | (h(b)-h(a))/(b-a) f(x) - (1/(b-a)) int_a^b h^Delta f(sigma) |,
-    rhs = M/(b-a) * [ int_a^x |h(t)-h(a)| + int_x^b |h(b)-h(t)| ].
-    Cross-checked against M * int |P| for the induced kernel; for h(t) = t
-    the bracket is also checked against h_2(x, a) + h_2(x, b).
+    rhs = M * int |P| = M/(b-a) * [ int_a^x |h(t)-h(a)| + int_x^b |h(b)-h(t)| ];
+    for h(t) = t the bracket is h_2(x, a) + h_2(x, b) (Bohner & Matthews,
+    JIPAM 9(1), 2008).
     """
     a = ts.canon(a)
     b = ts.canon(b)
     x = ts.canon(x)
     if not a < x < b:
         raise ConfigError("the reduction needs a < x < b")
-    spec = KernelSpec(ts=ts, a=a, b=b, x=x, alpha=x - a, beta=b - x, h=h)
-    width = b - a
-    mus, _, hds, k, dense = spec._grid
-    mean = 0.0                  # int_a^b h^Delta f(sigma), in one left-to-right sum
-    for mu, hd, fs in zip(mus, hds, _step_table(ts, f, a, b)[2][1:]):
-        mean += mu * hd * fs
-    for lo, hi, _ in dense:
-        mean += poly_definite(poly_mul(poly_derive(h.coeffs), f.coeffs), lo, hi)
-    lhs = abs(feval(f, x) * (feval(h, b) - feval(h, a)) / width - mean / width)
-    hv = _step_table(ts, h, a, b)[2]
-    bracket = 0.0
-    for i in range(k):
-        bracket += mus[i] * abs(hv[i] - hv[0])
-    for i in range(k, len(mus)):
-        bracket += mus[i] * abs(hv[-1] - hv[i])
-    for lo, hi, _ in dense:
-        if hi <= x:
-            bracket += _abs_definite(poly_add(h.coeffs, (-hv[0],)), lo, hi)
-        else:
-            bracket += _abs_definite(poly_add((hv[-1],), poly_scale(h.coeffs, -1.0)), lo, hi)
-    m = sup_abs_delta_derivative(ts, f, a, b)
-    rhs = m / width * bracket
-    other = m * kernel_moments(spec).int_abs_p
-    if abs(rhs - other) > CONSISTENCY_RTOL * max(1.0, abs(rhs)):
-        raise ConsistencyError(f"reduction rhs {rhs} disagrees with kernel route {other}")
-    if isinstance(h, Polynomial) and h.coeffs == (0.0, 1.0):
-        via_h2 = h_monomial(ts, 2, x, a) + h_monomial(ts, 2, x, b)
-        if abs(bracket - via_h2) > CONSISTENCY_RTOL * max(1.0, abs(bracket)):
-            raise ConsistencyError(
-                f"identity-weight bracket {bracket} disagrees with monomials {via_h2}")
-    return BoundReport("T5", Variant.CORRECTED, lhs, rhs, rhs - lhs)
+    return bound_t5(KernelSpec(ts=ts, a=a, b=b, x=x, alpha=x - a, beta=b - x, h=h), f)

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import math
 import re
 import sys
 import tracemalloc
@@ -537,6 +538,20 @@ def test_coerced_kernel_spec_numbers_are_config_errors(case, tmp_path, capsys):
     assert run(["eval", "--config", str(cfgf), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "JSON number" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_eval_rejects_a_function_coefficient_that_is_not_finite(tmp_path, capsys):
+    # json.dumps writes NaN and json.loads reads it back; the error must name
+    # the coefficient, not the gamma and Gamma that a NaN f^Delta spoils
+    cfgf = tmp_path / "ev.json"
+    nan_f = {"repr": "poly", "coeffs": [0.0, math.nan, 1.0]}
+    cfgf.write_text(json.dumps(WORKED_EVAL | {"f": nan_f}))
+    out = tmp_path / "o.json"
+    assert run(["eval", "--config", str(cfgf), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "coeffs[1] must be finite" in err
+    assert "gamma" not in err and "Traceback" not in err
     assert not out.exists()
 
 

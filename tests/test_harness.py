@@ -368,6 +368,18 @@ def test_korkine_witnesses_replay_bit_exact(monkeypatch):
                for w in witnesses if w["check"] == "product-rule")
 
 
+def test_crosscheck_failures_replay_through_their_row():
+    """A crosscheck-suite failure is the identity witness of the crosscheck
+    row, written and read back as JSON, and replays to its residual bit for
+    bit."""
+    rep = run_crosscheck_suite(TrialConfig(seed=5, n_trials=60, tolerance=1e-300))
+    witnesses = json.loads(json_dumps(rep.to_json()))["failures"]
+    assert len(witnesses) >= 30         # Z and R read 0.0 on these draws; Q does not
+    for w in witnesses:
+        assert (w["kind"], w["check"]) == ("identity", "crosscheck")
+        assert replay_witness(w)["residual"].hex() == float(w["residual"]).hex()
+
+
 def test_suite_report_json_shape():
     rep = run_identity_suite(TrialConfig(seed=1, n_trials=5))
     d = rep.to_json()
@@ -537,11 +549,13 @@ def test_replay_witness_rejects_garbage():
         (whole[2], "theorem", ["T5"]),
         (whole[0], "check", ["product-rule"]),
         (whole[1], "family", ["Z"]),
-        ({"kind": "crosscheck", "spec": spec, "f": f}, "family", ["Z"]),
     ]
     for witness, field, value in bad_values:
         with pytest.raises(ConfigError, match="unknown"):
             replay_witness({**witness, field: value})
+    # crosscheck-suite failures are identity witnesses; the retired kind is unknown
+    with pytest.raises(ConfigError, match="unknown witness kind 'crosscheck'"):
+        replay_witness({"kind": "crosscheck", "spec": spec, "f": f, "family": "Z"})
     real =kernel_spec_to_json(KernelSpec(ts=RealInterval(0.0, 2.0), a=0.0, b=2.0, x=1.0,
                                           alpha=1.0, beta=1.0, h=IDENT))
     with pytest.raises(ConfigError, match="does not apply"):     # no sigma walk on R

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from delta_ineq import (
     ConfigError,
-    ConsistencyError,
     ContinuousScale,
     EmptyRange,
     FamilyMismatch,
@@ -37,6 +36,8 @@ from delta_ineq import (
     closed_form_rhs,
     delta_derivative_range,
     feval,
+    func_from_json,
+    func_to_json,
     gruss_variance_check,
     h_monomial,
     identity_residual,
@@ -336,25 +337,29 @@ def test_endpoint_anchor_takes_the_step_at_a_into_m():
     assert t5.passes(1e-10) and t6a.passes(1e-10) and t6b.passes(1e-10)
 
 
-@st.composite
-def anchored_spec_and_funcs(draw):
-    """x = a with alpha = 0 on a grid, integer or q-lattice scale, with
-    sampled h, f and g.  Drawn here, not by the suites' _draw_x, which keeps
-    x interior, so that the suite reports stay as they are."""
-    n = draw(st.integers(3, 10))
+def _draw_discrete_scale(draw, n):
+    """A grid, integer or q-lattice scale of n points."""
     kind = draw(st.sampled_from(("grid", "integer", "qlattice")))
     if kind == "grid":
         pts = draw(st.lists(st.floats(-10, 10, allow_nan=False), min_size=n,
                             max_size=n, unique=True))
         pts = tuple(sorted(pts))
         assume(min(q - p for p, q in zip(pts, pts[1:])) >= 1e-6)
-        ts = FiniteGrid(pts)
-    elif kind == "integer":
+        return FiniteGrid(pts)
+    if kind == "integer":
         lo = draw(st.integers(-20, 20))
-        ts = IntegerInterval(lo, lo + n - 1)
-    else:
-        kmin = draw(st.integers(-4, 4))
-        ts = QLattice(draw(st.floats(1.01, 3.0)), kmin, kmin + n - 1)
+        return IntegerInterval(lo, lo + n - 1)
+    kmin = draw(st.integers(-4, 4))
+    return QLattice(draw(st.floats(1.01, 3.0)), kmin, kmin + n - 1)
+
+
+@st.composite
+def anchored_spec_and_funcs(draw):
+    """x = a with alpha = 0 on a grid, integer or q-lattice scale, with
+    sampled h, f and g.  Drawn here, not by the suites' _draw_x, which keeps
+    x interior, so that the suite reports stay as they are."""
+    n = draw(st.integers(3, 10))
+    ts = _draw_discrete_scale(draw, n)
     pts = ts.all_points()
 
     def sampled():
@@ -631,6 +636,51 @@ def test_reduction_bracket_equals_monomials_on_integers():
         bracket = rep.rhs * 10.0 / m
         want = h_monomial(ts, 2, float(x), 0.0) + h_monomial(ts, 2, float(x), 10.0)
         assert bracket == pytest.approx(want, rel=1e-12)
+
+
+@st.composite
+def reduction_instances(draw):
+    """(ts, f, h, a, b, x) with a < x < b, [a, b] an inner window too, on a
+    grid, integer, q-lattice or real scale: sampled or polynomial f and h on
+    a discrete scale, polynomials on a real interval."""
+    poly = st.lists(st.floats(-8, 8, allow_nan=False), min_size=1, max_size=4).map(
+        lambda coeffs: Polynomial(tuple(coeffs)))
+    if draw(st.integers(0, 3)) == 0:                # a real interval in one draw of four
+        a, x, b = sorted(draw(st.lists(st.floats(-10, 10, allow_nan=False), min_size=3,
+                                       max_size=3, unique=True)))
+        assume(min(x - a, b - x) >= 1e-3)
+        margin = st.sampled_from((0.0, 0.5, 2.0))    # the whole interval or an inner window
+        ts = RealInterval(a - draw(margin), b + draw(margin))
+        return ts, draw(poly), draw(poly), a, b, x
+    n = draw(st.integers(3, 10))
+    ts = _draw_discrete_scale(draw, n)
+    pts = ts.all_points()
+    i = draw(st.integers(0, n - 3))
+    j = draw(st.integers(i + 2, n - 1))
+    x = pts[draw(st.integers(i + 1, j - 1))]
+
+    def func():
+        if draw(st.booleans()):
+            return draw(poly)
+        return Sampled(dict(zip(pts, draw(st.lists(st.floats(-8, 8, allow_nan=False),
+                                                   min_size=n, max_size=n)))))
+
+    return ts, func(), func(), pts[i], pts[j], x
+
+
+@given(reduction_instances())
+@settings(max_examples=200, deadline=None)
+def test_reduction_is_corrected_t5_of_its_kernel(case):
+    # alpha = x - a, beta = b - x; the T5 side runs on cold copies of f and
+    # h, so no memo entry of the reduction's own kernel answers for it
+    ts, f, h, a, b, x = case
+    got = reduction_weighted_ostrowski(ts, f, h, a, b, x)
+    cold_f, cold_h = func_from_json(func_to_json(f)), func_from_json(func_to_json(h))
+    want = bound_t5(KernelSpec(ts=ts, a=a, b=b, x=x, alpha=x - a, beta=b - x, h=cold_h),
+                    cold_f)
+    assert (got.theorem, got.variant) == ("T5", Variant.CORRECTED)
+    assert ([v.hex() for v in (got.lhs, got.rhs, got.slack)]
+            == [v.hex() for v in (want.lhs, want.rhs, want.slack)])
 
 
 def test_reduction_rejects_non_interior():

@@ -154,6 +154,29 @@ def test_config_numbers_are_not_coerced(obj):
                 config_from_json(obj, suite)
 
 
+# function JSON: each coefficient, point and value a finite JSON number,
+# each point once; the error names the field
+UNCOERCED_FUNCS = [
+    ({"repr": "poly", "coeffs": ["1.5", 2.0]}, r"coeffs\[0\] must be a JSON number"),
+    ({"repr": "poly", "coeffs": [1.5, True]}, r"coeffs\[1\] must be a JSON number"),
+    ({"repr": "poly", "coeffs": [0.0, math.nan]}, r"coeffs\[1\] must be finite"),
+    ({"repr": "poly", "coeffs": [-math.inf]}, r"coeffs\[0\] must be finite"),
+    ({"repr": "poly", "coeffs": [1, 10 ** 400]}, r"coeffs\[1\] must be finite"),
+    ({"repr": "sampled", "table": [[0, 1], [0.0, 2]]}, r"table\[1\] repeats the sample point"),
+    ({"repr": "sampled", "table": [[-0.0, 1], [0, 2]]}, r"table\[1\] repeats the sample point"),
+    ({"repr": "sampled", "table": [[0, 1], ["1", 2]]}, r"table\[1\] point must be a JSON number"),
+    ({"repr": "sampled", "table": [[0, False]]}, r"table\[0\] value must be a JSON number"),
+    ({"repr": "sampled", "table": [[math.nan, 1]]}, r"table\[0\] point must be finite"),
+    ({"repr": "sampled", "table": [[0, 1], [1, math.inf]]}, r"table\[1\] value must be finite"),
+]
+
+
+@pytest.mark.parametrize("obj, field", UNCOERCED_FUNCS)
+def test_function_numbers_are_not_coerced(obj, field):
+    with pytest.raises(ConfigError, match=field):
+        func_from_json(obj)
+
+
 # ------------------------------------------------------- the first draw
 
 # values a config key should not take, the coerced ones among them
