@@ -79,6 +79,14 @@ def poly_definite(coeffs: tuple[float, ...], lo: float, hi: float) -> float:
 # function representations
 
 
+def _json_finite(value, what: str) -> float:
+    """value as a float if it is a finite JSON number; anything else, NaN,
+    an infinity or an integer past the float range too, is a ConfigError."""
+    if not abs(_json_number(value, what)) <= sys.float_info.max:
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return float(value)
+
+
 # Each function object also carries ``_delta_memo``: per window (scale, a, b)
 # the step table (mu, f^Delta, f, dense) of ``_step_table``, which every
 # delta integral and f^Delta envelope reads, and per window with a dense
@@ -98,8 +106,18 @@ class Polynomial:
     def __post_init__(self) -> None:
         if len(self.coeffs) == 0:
             raise ConfigError("Polynomial needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(
+            _json_finite(c, f"Polynomial coeffs[{i}]") for i, c in enumerate(self.coeffs)))
         object.__setattr__(self, "_delta_memo", {})
+
+    @classmethod
+    def _of(cls, coeffs: tuple[float, ...]) -> Polynomial:
+        """A Polynomial holding coeffs as they are, unchecked: a nonempty
+        tuple of floats, as a draw makes it."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "coeffs", coeffs)
+        object.__setattr__(f, "_delta_memo", {})
+        return f
 
 
 @dataclass(frozen=True)
@@ -108,7 +126,8 @@ class Sampled:
 
     The table maps points to values and must cover every point the caller
     will touch (for kernel work: all of [a, b] including sigma images).
-    Treat instances as immutable.
+    Points and values are finite ints or floats, kept as floats; two points
+    with the same float are a ConfigError.  Treat instances as immutable.
     """
 
     table: dict
@@ -116,10 +135,23 @@ class Sampled:
     def __post_init__(self) -> None:
         if not self.table:
             raise ConfigError("Sampled needs a nonempty table")
-        object.__setattr__(
-            self, "table", {float(t): float(v) for t, v in self.table.items()}
-        )
+        table = {}
+        for t, v in self.table.items():
+            point = _json_finite(t, f"Sampled point {t!r}")
+            if point in table:
+                raise ConfigError(f"Sampled point {t!r} repeats the point {point!r}")
+            table[point] = _json_finite(v, f"Sampled value at {t!r}")
+        object.__setattr__(self, "table", table)
         object.__setattr__(self, "_delta_memo", {})
+
+    @classmethod
+    def _of(cls, table: dict) -> Sampled:
+        """A Sampled holding table as it is, unchecked: float points and
+        values, as a draw or a checked parse makes them."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "table", table)
+        object.__setattr__(f, "_delta_memo", {})
+        return f
 
 
 Func = Union[Polynomial, Sampled]
@@ -131,14 +163,6 @@ def func_to_json(f: Func) -> dict:
     if isinstance(f, Sampled):
         return {"repr": "sampled", "table": [[t, v] for t, v in sorted(f.table.items())]}
     raise ConfigError(f"unknown function object {f!r}")
-
-
-def _json_finite(value, what: str) -> float:
-    """value as a float if it is a finite JSON number; anything else, NaN,
-    an infinity or an integer past the float range too, is a ConfigError."""
-    if not abs(_json_number(value, what)) <= sys.float_info.max:
-        raise ConfigError(f"{what} must be finite, got {value!r}")
-    return float(value)
 
 
 def func_from_json(obj: dict) -> Func:
@@ -160,7 +184,7 @@ def func_from_json(obj: dict) -> Func:
                 if t in table:
                     raise ConfigError(f"function table[{i}] repeats the sample point {t!r}")
                 table[t] = _json_finite(v, f"function table[{i}] value")
-            return Sampled(table=table)
+            return Sampled._of(table)
     except KeyError as exc:
         raise ConfigError(f"function JSON missing field {exc}") from exc
     raise ConfigError(f"unknown function repr {rep!r}")
@@ -211,12 +235,11 @@ def _with_sample(ts: TimeScale, f: Sampled, a: float, b: float, i: int, t: float
     bit-equal to a fresh table; mu and the dense pieces are f's own lists.
     It enumerates no grid, so a search that moves one sample at a time
     tabulates its window once.  f's table is float already, so the new one
-    is set as is; the constructor would convert every entry again."""
+    is set as is (``Sampled._of``); the constructor would check every entry
+    again."""
     mus, fds, vals, dense = _step_table(ts, f, a, b)
     value = float(value)
-    moved = object.__new__(Sampled)
-    object.__setattr__(moved, "table", f.table | {t: value})
-    object.__setattr__(moved, "_delta_memo", {})
+    moved = Sampled._of(f.table | {t: value})
     vals = vals.copy()
     vals[i] = value
     fds = fds.copy()

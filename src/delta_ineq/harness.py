@@ -67,15 +67,44 @@ from .timescale import (
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
 STEP_FLOOR = 1e-6
 
 
 def _mix64(z: int) -> int:
     """SplitMix64 output stage: xor-shift-multiply finalizer."""
     z &= MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    z = ((z ^ (z >> 30)) * MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX2) & MASK64
     return z ^ (z >> 31)
+
+
+# The lane constants of SplitMix64.uniforms for `cap` 128-bit lanes: a 1,
+# (k+1)*GOLDEN mod 2^64 and 2^64-1 in lane k.  One set, grown to the next
+# power of two past the largest n drawn; a call cuts it to its n lanes.
+# It only caches constants, so no draw depends on what was drawn before.
+_lanes = (0, 0, 0, 0)
+# The lanes are written out in the host's byte order and read back as native
+# 64-bit words: lane k's low word is word 2k on a little-endian host and
+# word 2n-1-2k, the same step counted from the end, on a big-endian one.
+_LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
+
+
+def _lane_constants(n: int) -> tuple[int, int, int]:
+    """(ones, ramp, low) for n lanes; low keeps the cached width, since every
+    value it masks already has n lanes or fewer."""
+    global _lanes
+    cap, ones, ramp, low = _lanes
+    if cap < n:
+        cap = 1 << (n - 1).bit_length()
+        ones = int.from_bytes((b"\x01" + bytes(15)) * cap, "little")
+        ramp = int.from_bytes(b"".join(((k + 1) * GOLDEN & MASK64).to_bytes(16, "little")
+                                       for k in range(cap)), "little")
+        low = ones * MASK64
+        _lanes = (cap, ones, ramp, low)
+    cut = (1 << 128 * n) - 1
+    return ones & cut, ramp & cut, low
 
 
 class SplitMix64:
@@ -85,6 +114,11 @@ class SplitMix64:
     output = mix(state) where mix is xor-shift by 30, multiply by
     0xBF58476D1CE4E5B9, xor-shift by 27, multiply by 0x94D049BB133111EB,
     xor-shift by 31.  uniform() maps the top 53 bits onto [0, 1).
+
+    uniforms(n, lo, hi) is n uniform(lo, hi) draws at once, bit for bit and
+    leaving the same state: the n states are 128-bit lanes of one int, so
+    each step of mix is one big-int operation over all of them, and each
+    output is the low 64-bit word of its lane.  Every sequence draw uses it.
     """
 
     __slots__ = ("_state",)
@@ -100,10 +134,24 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
     def uniform(self, lo: float, hi: float) -> float:
-        # next_u64 and uniform01 inlined: one Python call per draw on the
-        # path that draws every sampled f and h value
+        # next_u64 and uniform01 inlined: one Python call per scalar draw
         self._state = s = (self._state + GOLDEN) & MASK64
         return lo + (hi - lo) * ((_mix64(s) >> 11) * 2.0 ** -53)
+
+    def uniforms(self, n: int, lo: float, hi: float) -> list[float]:
+        """[self.uniform(lo, hi) for _ in range(n)], bit for bit.  The masks
+        after the shifts by 30 and 27 keep lane k+1's bits out of lane k's
+        product; after the shift by 31 they stay above lane k's low word."""
+        s = self._state
+        self._state = (s + n * GOLDEN) & MASK64
+        ones, ramp, low = _lane_constants(n)
+        z = (s * ones + ramp) & low
+        z = ((z ^ ((z >> 30) & low)) * MIX1) & low
+        z = ((z ^ ((z >> 27) & low)) * MIX2) & low
+        z = (z ^ (z >> 31)) >> 11
+        span = hi - lo
+        return [lo + span * (m * 2.0 ** -53)
+                for m in memoryview(z.to_bytes(16 * n, sys.byteorder)).cast("Q")[_LOW_WORDS]]
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi]; modulo bias is negligible here."""
@@ -276,7 +324,7 @@ def gen_random_scale(rng: SplitMix64, config: TrialConfig) -> TimeScale:
     size = rng.randint(config.size_range[0], config.size_range[1])
     if family == "grid":
         while True:
-            pts = sorted(rng.uniform(-10.0, 10.0) for _ in range(size))
+            pts = sorted(rng.uniforms(size, -10.0, 10.0))
             if all(u < v for u, v in zip(pts, pts[1:])):
                 return FiniteGrid(points=tuple(pts))
     if family == "integer":
@@ -297,11 +345,11 @@ def gen_random_func(rng: SplitMix64, ts: TimeScale, family: FuncFamily) -> Func:
     a polynomial with uniform coefficients and degree up to max_degree."""
     if family.kind == "poly" or isinstance(ts, RealInterval):
         degree = rng.randint(0, family.max_degree)
-        coeffs = tuple(rng.uniform(-family.coeff_range, family.coeff_range)
-                       for _ in range(degree + 1))
-        return Polynomial(coeffs=coeffs)
+        c = family.coeff_range
+        return Polynomial._of(tuple(rng.uniforms(degree + 1, -c, c)))
     r = family.value_range
-    return Sampled(table={t: rng.uniform(-r, r) for t in ts.all_points()})
+    pts = ts.all_points()
+    return Sampled._of(dict(zip(pts, rng.uniforms(len(pts), -r, r))))
 
 
 def _draw_weights(rng: SplitMix64) -> tuple[float, float]:
@@ -324,6 +372,15 @@ def _draw_x(rng: SplitMix64, ts: TimeScale) -> float:
         return ts.lo + rng.uniform(0.2, 0.8) * (ts.hi - ts.lo)
     interior = ts.all_points()[1:-1]
     return rng.choice(interior)
+
+
+def _draw_t(rng: SplitMix64, spec: KernelSpec) -> float:
+    """The identity suite's t: uniform on the middle 80 % of a window with a
+    dense piece, else one of the window's steps."""
+    steps, dense = spec.ts.pieces(spec.a, spec.b)
+    if dense:
+        return spec.a + rng.uniform(0.1, 0.9) * (spec.b - spec.a)
+    return rng.choice(steps)
 
 
 def _draw_trial(rng: SplitMix64, config: TrialConfig, with_g: bool):
@@ -549,10 +606,8 @@ def run_identity_suite(config: TrialConfig) -> SuiteReport:
     for i in range(config.n_trials):
         rng = trial_rng(config.seed, i)
         spec, f, _ = _draw_trial(rng, config, with_g=False)
-        steps, dense = spec.ts.pieces(spec.a, spec.b)
         trial = {
-            "t": spec.a + rng.uniform(0.1, 0.9) * (spec.b - spec.a) if dense
-            else rng.choice(steps),
+            "t": _draw_t(rng, spec),
             "family": next((fam for fam, (scale_class, _) in FAMILIES.items()
                             if isinstance(spec.ts, scale_class)), None),
         }
@@ -717,7 +772,7 @@ def sharpness_search(theorem: str, spec: KernelSpec, config: TrialConfig) -> Sha
     rng = trial_rng(config.seed, 0)
     pts = steps + [spec.b]
     r = config.func_family.value_range
-    funcs = [Sampled(table={t: rng.uniform(-r, r) for t in pts})
+    funcs = [Sampled._of(dict(zip(pts, rng.uniforms(len(pts), -r, r))))
              for _ in range(2 if theorem in READS_G else 1)]
     tol = config.tolerance
 

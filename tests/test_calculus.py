@@ -7,15 +7,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delta_ineq import (
+    ConfigError,
     DensePointSampledFunc,
     FiniteGrid,
     IntegerInterval,
+    KernelSpec,
     MissingSample,
     NotDifferentiable,
     Polynomial,
     QLattice,
     RealInterval,
     Sampled,
+    bound_t5,
     delta_derivative,
     delta_integral,
     feval,
@@ -50,6 +53,44 @@ def test_func_json_round_trip():
     s = Sampled({0.0: 1.0, 2.0: -3.5})
     assert func_from_json(func_to_json(p)) == p
     assert func_from_json(func_to_json(s)) == s
+
+
+# each argument is a finite int or float, not a bool; the error names the entry
+BAD_FUNCS = [
+    (lambda: Polynomial(("1.5", 2.0)), r"Polynomial coeffs\[0\] must be a JSON number"),
+    (lambda: Polynomial((1.5, True)), r"Polynomial coeffs\[1\] must be a JSON number"),
+    (lambda: Polynomial((math.nan, 1.0)), r"Polynomial coeffs\[0\] must be finite"),
+    (lambda: Polynomial((0.0, -math.inf)), r"Polynomial coeffs\[1\] must be finite"),
+    (lambda: Polynomial((1, 10 ** 400)), r"Polynomial coeffs\[1\] must be finite"),
+    (lambda: Sampled({"0": 1.0}), r"Sampled point '0' must be a JSON number"),
+    (lambda: Sampled({math.inf: 1.0}), r"Sampled point inf must be finite"),
+    (lambda: Sampled({0.0: 1.0, 1.0: False}), r"Sampled value at 1.0 must be a JSON number"),
+    (lambda: Sampled({0: math.nan}), r"Sampled value at 0 must be finite"),
+    (lambda: Sampled({2 ** 53: 1.0, 2 ** 53 + 1: 2.0}),
+     r"Sampled point 9007199254740993 repeats the point 9007199254740992\.0"),
+]
+
+
+@pytest.mark.parametrize("build, message", BAD_FUNCS)
+def test_constructors_reject_bad_numbers(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
+
+
+def test_constructors_keep_numbers_as_floats():
+    p = Polynomial([1, -0.0, 2])
+    assert [c.hex() for c in p.coeffs] == ["0x1.0000000000000p+0", "-0x0.0p+0",
+                                          "0x1.0000000000000p+1"]
+    s = Sampled({0: 1, 1: -2.5})
+    assert [(type(t), type(v)) for t, v in s.table.items()] == [(float, float)] * 2
+    assert Sampled._of(s.table).table is s.table
+
+
+def test_a_nan_coefficient_reaches_no_bound():
+    # once a NaN coefficient gave a T5 report of NaN lhs, rhs and slack
+    with pytest.raises(ConfigError, match="finite"):
+        bound_t5(KernelSpec(ts=Z04, a=0.0, b=4.0, x=2.0, alpha=1.0, beta=1.0, h=IDENT),
+                 Polynomial((math.nan, 1.0)))
 
 
 # ---------------------------------------------------------------- derivative

@@ -1,6 +1,8 @@
 """Deterministic RNG, trial draws, suite runners, sharpness, replay."""
 
 import json
+import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -87,12 +89,56 @@ def test_uniform01_range_and_determinism():
 
 
 def test_uniform_draws_are_pinned():
-    # the draws of the next_u64 path: uniform() must keep them bit for bit
+    # the draws of the next_u64 path: uniform() and uniforms() must keep
+    # them bit for bit
+    pinned = ["-0x1.449fb3185a022p+0", "-0x1.bf3c821e62246p-1", "-0x1.57af1d733b0cap+0"]
     r = SplitMix64(12345)
-    assert [r.uniform(-2.0, 3.5).hex() for _ in range(3)] == [
-        "-0x1.449fb3185a022p+0", "-0x1.bf3c821e62246p-1", "-0x1.57af1d733b0cap+0"]
+    assert [r.uniform(-2.0, 3.5).hex() for _ in range(3)] == pinned
     assert [r.uniform01().hex() for _ in range(3)] == [
         "0x1.68b073f2e1fa0p-3", "0x1.0385cdb9301afp-1", "0x1.591f956b64cfcp-2"]
+    assert [x.hex() for x in SplitMix64(12345).uniforms(3, -2.0, 3.5)] == pinned
+
+
+ENDS = st.one_of(st.floats(-1e300, 1e300),
+                 st.sampled_from((-1e300, 1e300, -0.0, 0.0, -8, 8)))
+
+
+@given(st.integers(0, 2 ** 64 - 1), st.integers(0, 600), ENDS, ENDS, st.booleans())
+@settings(max_examples=150)
+def test_uniforms_are_bit_equal_to_scalar_draws(seed, n, lo, hi, same):
+    if same:
+        hi = lo
+    batch, scalar = SplitMix64(seed), SplitMix64(seed)
+    assert ([x.hex() for x in batch.uniforms(n, lo, hi)]
+            == [scalar.uniform(lo, hi).hex() for _ in range(n)])
+    assert batch.next_u64() == scalar.next_u64()
+
+
+def test_uniforms_cross_every_growth_of_the_lane_cache(monkeypatch):
+    monkeypatch.setattr(harness, "_lanes", (0, 0, 0, 0))
+    batch, scalar = SplitMix64(99), SplitMix64(99)
+    caps = set()
+    for n in range(601):
+        assert ([x.hex() for x in batch.uniforms(n, -8.0, 8.0)]
+                == [scalar.uniform(-8.0, 8.0).hex() for _ in range(n)]), n
+        caps.add(harness._lanes[0])
+    assert sorted(caps) == [0] + [2 ** k for k in range(11)]
+    assert batch.next_u64() == scalar.next_u64()
+    # a set grown past n serves a smaller n too
+    assert batch.uniforms(5, 0.0, 1.0) == [scalar.uniform(0.0, 1.0) for _ in range(5)]
+
+
+def test_each_byte_order_reads_the_low_word_of_every_lane():
+    # a big-endian host reads the lanes' words from the other end
+    n = 5
+    words = [trial_rng(8, k).next_u64() for k in range(2 * n)]
+    z = 0
+    for k, w in enumerate(words):
+        z |= w << 64 * k
+    for order, code, step in (("little", "<", 2), ("big", ">", -2)):
+        raw = struct.unpack(f"{code}{2 * n}Q", z.to_bytes(16 * n, order))
+        assert list(raw[::step]) == words[::2]
+    assert harness._LOW_WORDS.step == (2 if sys.byteorder == "little" else -2)
 
 
 def test_randint_and_choice_bounds():
@@ -242,6 +288,86 @@ def test_gen_random_func_kinds():
     # real scales force polynomials no matter the family kind
     r = gen_random_func(rng, RealInterval(0.0, 1.0), FuncFamily())
     assert isinstance(r, Polynomial)
+
+
+def _ref_scale(rng, config):
+    """gen_random_scale as a scalar loop, one uniform() per grid point."""
+    family = rng.choice(config.scale_families)
+    size = rng.randint(config.size_range[0], config.size_range[1])
+    if family == "grid":
+        while True:
+            pts = sorted(rng.uniform(-10.0, 10.0) for _ in range(size))
+            if all(u < v for u, v in zip(pts, pts[1:])):
+                return FiniteGrid(points=tuple(pts))
+    if family == "integer":
+        lo = rng.randint(-20, 20)
+        return IntegerInterval(lo=lo, hi=lo + size - 1)
+    if family == "qlattice":
+        q = 1.0 + 1e-6 + (2.0 - 1e-6) * (1.0 - rng.uniform01())
+        kmin = rng.randint(-4, 4)
+        return QLattice(q=q, kmin=kmin, kmax=kmin + size - 1)
+    lo = rng.uniform(-2.0, 1.5)
+    return RealInterval(lo=lo, hi=lo + rng.uniform(0.5, 2.5))
+
+
+def _ref_func(rng, ts, family):
+    """gen_random_func as scalar loops, one uniform() per value."""
+    if family.kind == "poly" or isinstance(ts, RealInterval):
+        degree = rng.randint(0, family.max_degree)
+        coeffs = []
+        for _ in range(degree + 1):
+            coeffs.append(rng.uniform(-family.coeff_range, family.coeff_range))
+        return Polynomial(coeffs=tuple(coeffs))
+    r = family.value_range
+    return Sampled(table={t: rng.uniform(-r, r) for t in ts.all_points()})
+
+
+def _ref_trial(rng, config):
+    ts = _ref_scale(rng, config)
+    x = harness._draw_x(rng, ts)
+    alpha, beta = harness._draw_weights(rng)
+    h = _ref_func(rng, ts, config.weight_family)
+    f = _ref_func(rng, ts, config.func_family)
+    g = _ref_func(rng, ts, config.func_family)
+    return KernelSpec(ts=ts, a=ts.min_point, b=ts.max_point, x=x, alpha=alpha, beta=beta, h=h), f, g
+
+
+POLY = FuncFamily(kind="poly", max_degree=5, coeff_range=3.5)
+DRAW_CONFIGS = {
+    "grid": TrialConfig(scale_families=("grid",)),
+    "integer": TrialConfig(scale_families=("integer",), size_range=(3, 40)),
+    "qlattice": TrialConfig(scale_families=("qlattice",), func_family=FuncFamily(value_range=3)),
+    "real": TrialConfig(scale_families=("real",), func_family=POLY, weight_family=POLY),
+    "large-poly-f": TrialConfig(size_range=(200, 256), func_family=POLY),
+}
+
+
+@pytest.mark.parametrize("name", DRAW_CONFIGS)
+def test_trial_draw_matches_the_scalar_loops(name):
+    config = DRAW_CONFIGS[name]
+    for i in range(200):
+        rng, ref_rng = trial_rng(7, i), trial_rng(7, i)
+        got = harness._draw_trial(rng, config, with_g=True)
+        want = _ref_trial(ref_rng, config)
+        # the JSON text tells a float from an int and keeps every bit
+        assert json.dumps([kernel_spec_to_json(got[0]), func_to_json(got[1]), func_to_json(got[2])]) \
+            == json.dumps([kernel_spec_to_json(want[0]), func_to_json(want[1]), func_to_json(want[2])])
+        assert rng.next_u64() == ref_rng.next_u64()
+
+
+@pytest.mark.parametrize("theorem", ["T5", "T6b"])
+@pytest.mark.parametrize("spec", [Z08_SPEC, KernelSpec(
+    ts=FiniteGrid((-3.0, -1.25, 0.5, 2.0, 2.5, 4.0)), a=-1.25, b=2.5, x=0.5,
+    alpha=2.0, beta=0.5, h=IDENT)], ids=["integer", "inner-grid-window"])
+def test_sharpness_initial_draw_matches_the_scalar_loop(theorem, spec):
+    for seed in range(20):
+        config = TrialConfig(seed=seed, n_trials=0, func_family=FuncFamily(value_range=5.5))
+        res = sharpness_search(theorem, spec, config)
+        rng = trial_rng(seed, 0)
+        pts = spec.ts.grid_points(spec.a, spec.b) + [spec.b]
+        ref = [func_to_json(Sampled({t: rng.uniform(-5.5, 5.5) for t in pts}))
+               for _ in range(2 if theorem == "T6b" else 1)]
+        assert json.dumps([res.witness_f, res.witness_g]) == json.dumps(ref + [None] * (2 - len(ref)))
 
 
 # ------------------------------------------------------------------- suites
