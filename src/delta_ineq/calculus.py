@@ -16,7 +16,6 @@ discrete scale has no dense piece and a real interval no scattered point.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -27,7 +26,7 @@ from .errors import (
     MissingSample,
     NotDifferentiable,
 )
-from .timescale import RealInterval, TimeScale, _json_array, _json_number
+from .timescale import RealInterval, TimeScale, _json_array, _json_floats, _json_number
 
 # ---------------------------------------------------------------------------
 # plain polynomial coefficient arithmetic (ascending order)
@@ -79,16 +78,8 @@ def poly_definite(coeffs: tuple[float, ...], lo: float, hi: float) -> float:
 # function representations
 
 
-def _json_finite(value, what: str) -> float:
-    """value as a float if it is a finite JSON number; anything else, NaN,
-    an infinity or an integer past the float range too, is a ConfigError."""
-    if not abs(_json_number(value, what)) <= sys.float_info.max:
-        raise ConfigError(f"{what} must be finite, got {value!r}")
-    return float(value)
-
-
 # Each function object also carries ``_delta_memo``: per window (scale, a, b)
-# the step table (mu, f^Delta, f, dense) of ``_step_table``, which every
+# the step table (mu, f^Delta, f, dense, steps) of ``_step_table``, which every
 # delta integral and f^Delta envelope reads, and per window with a dense
 # piece the f' candidate list of the derivative envelopes in ostrowski, and
 # per KernelSpec the kernel sums of f that ostrowski keeps there.  It is not
@@ -104,10 +95,10 @@ class Polynomial:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
+        coeffs = _json_floats(self.coeffs, "Polynomial coeffs")
+        if not coeffs:
             raise ConfigError("Polynomial needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(
-            _json_finite(c, f"Polynomial coeffs[{i}]") for i, c in enumerate(self.coeffs)))
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_delta_memo", {})
 
     @classmethod
@@ -133,14 +124,14 @@ class Sampled:
     table: dict
 
     def __post_init__(self) -> None:
-        if not self.table:
-            raise ConfigError("Sampled needs a nonempty table")
+        if not isinstance(self.table, dict) or not self.table:
+            raise ConfigError("Sampled needs a nonempty dict as its table")
         table = {}
         for t, v in self.table.items():
-            point = _json_finite(t, f"Sampled point {t!r}")
+            point = float(_json_number(t, "Sampled point {!r}", t))
             if point in table:
                 raise ConfigError(f"Sampled point {t!r} repeats the point {point!r}")
-            table[point] = _json_finite(v, f"Sampled value at {t!r}")
+            table[point] = float(_json_number(v, "Sampled value at {!r}", t))
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_delta_memo", {})
 
@@ -174,16 +165,15 @@ def func_from_json(obj: dict) -> Func:
     rep = obj["repr"]
     try:
         if rep == "poly":
-            return Polynomial(coeffs=tuple(_json_finite(c, f"function coeffs[{i}]") for i, c
-                                           in enumerate(_json_array(obj["coeffs"], "coeffs"))))
+            return Polynomial(coeffs=obj["coeffs"])
         if rep == "sampled":
             table = {}
             for i, pair in enumerate(_json_array(obj["table"], "table")):
                 t, v = _json_array(pair, "table entry", 2)
-                t = _json_finite(t, f"function table[{i}] point")
+                t = float(_json_number(t, "function table[{}] point", i))
                 if t in table:
                     raise ConfigError(f"function table[{i}] repeats the sample point {t!r}")
-                table[t] = _json_finite(v, f"function table[{i}] value")
+                table[t] = float(_json_number(v, "function table[{}] value", i))
             return Sampled._of(table)
     except KeyError as exc:
         raise ConfigError(f"function JSON missing field {exc}") from exc
@@ -205,14 +195,15 @@ def feval(f: Func, t: float) -> float:
 
 
 def _step_table(ts: TimeScale, f: Func, a: float, b: float
-                ) -> tuple[list[float], list[float], list[float], tuple]:
-    """(mu, f^Delta, f, dense) of the window [a, b), with a and b
+                ) -> tuple[list[float], list[float], list[float], tuple, list[float]]:
+    """(mu, f^Delta, f, dense, steps) of the window [a, b), with a and b
     canonical: mu and f^Delta per right-scattered step of [a, b); f at each
     step and at b (at a and b when there is no step), so f[0] is f(a),
     f[-1] is f(b), and f(t) and f(sigma(t)) of step i are f[i] and
-    f[i + 1]; and the dense pieces (lo, hi) of ``ts.pieces``.  A window with
-    a dense piece needs a polynomial f.  Kept in f's memo under (ts, a, b)
-    and shared by every caller: treat it as read-only."""
+    f[i + 1]; the dense pieces (lo, hi) of ``ts.pieces``; and the steps,
+    the right-scattered points themselves, ascending.  A window with a dense
+    piece needs a polynomial f.  Kept in f's memo under (ts, a, b) and
+    shared by every caller: treat it as read-only."""
     table = f._delta_memo.get((ts, a, b))
     if table is None:
         pts, dense = ts.pieces(a, b)
@@ -222,7 +213,7 @@ def _step_table(ts: TimeScale, f: Func, a: float, b: float
         vals.append(feval(f, b))
         mus = [nxt - t for t, nxt in zip(pts, pts[1:] + [b])]
         fds = [(fnxt - ft) / mu for ft, fnxt, mu in zip(vals, vals[1:], mus)]
-        table = f._delta_memo[(ts, a, b)] = (mus, fds, vals, dense)
+        table = f._delta_memo[(ts, a, b)] = (mus, fds, vals, dense, pts)
     return table
 
 
@@ -232,12 +223,13 @@ def _with_sample(ts: TimeScale, f: Sampled, a: float, b: float, i: int, t: float
     when i is the number of steps), set to value.  The new function's step
     table for the window is f's with f entry i replaced and f^Delta of steps
     i - 1 and i recomputed by the expression of _step_table, so it is
-    bit-equal to a fresh table; mu and the dense pieces are f's own lists.
+    bit-equal to a fresh table; mu, the dense pieces and the steps are f's
+    own.
     It enumerates no grid, so a search that moves one sample at a time
     tabulates its window once.  f's table is float already, so the new one
     is set as is (``Sampled._of``); the constructor would check every entry
     again."""
-    mus, fds, vals, dense = _step_table(ts, f, a, b)
+    mus, fds, vals, dense, steps = _step_table(ts, f, a, b)
     value = float(value)
     moved = Sampled._of(f.table | {t: value})
     vals = vals.copy()
@@ -246,7 +238,7 @@ def _with_sample(ts: TimeScale, f: Sampled, a: float, b: float, i: int, t: float
     for j in (i - 1, i):
         if 0 <= j < len(mus):
             fds[j] = (vals[j + 1] - vals[j]) / mus[j]
-    moved._delta_memo[(ts, a, b)] = (mus, fds, vals, dense)
+    moved._delta_memo[(ts, a, b)] = (mus, fds, vals, dense, steps)
     return moved
 
 
@@ -355,8 +347,8 @@ def parts_residual(ts: TimeScale, f: Func, g: Func, a: float, b: float) -> float
     """
     a = ts.canon(a)
     b = ts.canon(b)
-    mus, fds, fv, dense = _step_table(ts, f, a, b)
-    _, gds, gv, _ = _step_table(ts, g, a, b)
+    mus, fds, fv, dense, _ = _step_table(ts, f, a, b)
+    _, gds, gv, _, _ = _step_table(ts, g, a, b)
     boundary = fv[-1] * gv[-1] - fv[0] * gv[0]
     left = 0.0
     right = 0.0

@@ -70,6 +70,9 @@ GOLDEN = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
 STEP_FLOOR = 1e-6
+# The longest sequence one draw makes: the points of a scale (size_range) and
+# the coefficients of a polynomial (max_degree + 1) number at most this.
+MAX_DRAW = 2 ** 16
 
 
 def _mix64(z: int) -> int:
@@ -186,10 +189,10 @@ class FuncFamily:
         if self.kind not in FUNC_KINDS:
             raise ConfigError(f"unknown function kind {self.kind!r}")
         for name in ("value_range", "coeff_range"):
-            if not 0.0 < _json_number(getattr(self, name), name) <= sys.float_info.max:
-                raise ConfigError(f"{name} must be positive and no larger than a float holds")
-        if type(self.max_degree) is not int or self.max_degree < 0:
-            raise ConfigError("max_degree must be an integer >= 0")
+            if not _json_number(getattr(self, name), name) > 0.0:
+                raise ConfigError(f"{name} must be positive")
+        if not 0 <= _json_number(self.max_degree, "max_degree", integer=True) < MAX_DRAW:
+            raise ConfigError(f"max_degree must be an integer from 0 to {MAX_DRAW - 1}")
 
 
 @dataclass(frozen=True)
@@ -212,18 +215,19 @@ class TrialConfig:
     fixed_scale: TimeScale | None = None
 
     def __post_init__(self) -> None:
-        if any(type(n) is not int for n in (self.seed, self.n_trials, *self.size_range)):
-            raise ConfigError("seed, trials and size_range take JSON integers only")
-        if self.n_trials < 0:
+        _json_number(self.seed, "seed", integer=True)
+        if _json_number(self.n_trials, "trials", integer=True) < 0:
             raise ConfigError("n_trials must be >= 0")
         object.__setattr__(self, "scale_families", tuple(self.scale_families))
         object.__setattr__(self, "variants", tuple(Variant(v) for v in self.variants))
-        object.__setattr__(self, "size_range", tuple(self.size_range))
-        lo, hi = self.size_range
-        if not 3 <= lo <= hi:
-            raise ConfigError("size_range needs 3 <= min <= max")
-        if not 0.0 < self.tolerance <= sys.float_info.max:
-            raise ConfigError("tolerance must be finite and positive")
+        lo, hi = (_json_number(n, "size_range", integer=True)
+                  for n in _json_array(self.size_range, "size_range", 2))
+        object.__setattr__(self, "size_range", (lo, hi))
+        if not 3 <= lo <= hi <= MAX_DRAW:
+            raise ConfigError(f"size_range needs 3 <= min <= max <= {MAX_DRAW}")
+        object.__setattr__(self, "tolerance", float(_json_number(self.tolerance, "tolerance")))
+        if not self.tolerance > 0.0:
+            raise ConfigError("tolerance must be positive")
         if not self.variants:
             raise ConfigError("variants must not be empty")
         if len(set(self.variants)) < len(self.variants):
@@ -282,9 +286,9 @@ def config_from_json(obj: dict, suite: str = "bounds") -> TrialConfig:
         return TrialConfig(
             seed=obj.get("seed", base.seed),
             n_trials=obj.get("trials", base.n_trials),
-            tolerance=float(_json_number(obj.get("tolerance", base.tolerance), "tolerance")),
+            tolerance=obj.get("tolerance", base.tolerance),
             scale_families=_json_array(obj.get("scales", base.scale_families), "scales"),
-            size_range=_json_array(obj.get("size_range", base.size_range), "size_range", 2),
+            size_range=obj.get("size_range", base.size_range),
             func_family=_family_from_json(obj.get("func", {}), base.func_family, func_keys),
             weight_family=_family_from_json(obj.get("weight", {}), base.weight_family),
             variants=_json_array(obj.get("variants", [v.value for v in base.variants]), "variants"),
@@ -324,9 +328,10 @@ def gen_random_scale(rng: SplitMix64, config: TrialConfig) -> TimeScale:
     size = rng.randint(config.size_range[0], config.size_range[1])
     if family == "grid":
         while True:
-            pts = sorted(rng.uniforms(size, -10.0, 10.0))
-            if all(u < v for u, v in zip(pts, pts[1:])):
-                return FiniteGrid(points=tuple(pts))
+            try:
+                return FiniteGrid(points=sorted(rng.uniforms(size, -10.0, 10.0)))
+            except ConfigError:         # two points collided: FiniteGrid needs them increasing
+                pass
     if family == "integer":
         lo = rng.randint(-20, 20)
         return IntegerInterval(lo=lo, hi=lo + size - 1)
@@ -376,8 +381,8 @@ def _draw_x(rng: SplitMix64, ts: TimeScale) -> float:
 
 def _draw_t(rng: SplitMix64, spec: KernelSpec) -> float:
     """The identity suite's t: uniform on the middle 80 % of a window with a
-    dense piece, else one of the window's steps."""
-    steps, dense = spec.ts.pieces(spec.a, spec.b)
+    dense piece, else one of the window's steps, read from h's step table."""
+    _, _, _, dense, steps = _step_table(spec.ts, spec.h, spec.a, spec.b)
     if dense:
         return spec.a + rng.uniform(0.1, 0.9) * (spec.b - spec.a)
     return rng.choice(steps)
@@ -540,7 +545,7 @@ class _Recorder:
 
 def _int_f_gdelta(spec: KernelSpec, f: Func, g: Func) -> float:
     """Reference magnitude for the integration-by-parts check."""
-    mus, _, fv, dense = _step_table(spec.ts, f, spec.a, spec.b)
+    mus, _, fv, dense, _ = _step_table(spec.ts, f, spec.a, spec.b)
     gv = _step_table(spec.ts, g, spec.a, spec.b)[2]
     total = 0.0
     for _, ft, gt, gs in zip(mus, fv, gv, gv[1:]):     # one term per step

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -85,8 +86,9 @@ class Variant(str, Enum):
 class KernelSpec:
     """Frozen description of one kernel instance.
 
-    Requires a < b on the scale, finite alpha, beta >= 0 with positive sum,
-    and x strictly interior unless its branch has weight zero (x == a needs
+    Requires a, b, x, alpha and beta to be finite ints or floats (not
+    bools), a < b on the scale, alpha, beta >= 0 with positive sum, and x
+    strictly interior unless its branch has weight zero (x == a needs
     alpha == 0, x == b needs beta == 0).
 
     The kernel data every bound reads (the steps of mu, P and h^Delta and
@@ -107,13 +109,12 @@ class KernelSpec:
     h: Func
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", self.ts.canon(self.a))
-        object.__setattr__(self, "b", self.ts.canon(self.b))
-        object.__setattr__(self, "x", self.ts.canon(self.x))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ConfigError("weights must be finite")
+        canon = self.ts.canon
+        object.__setattr__(self, "a", canon(_json_number(self.a, "KernelSpec a")))
+        object.__setattr__(self, "b", canon(_json_number(self.b, "KernelSpec b")))
+        object.__setattr__(self, "x", canon(_json_number(self.x, "KernelSpec x")))
+        object.__setattr__(self, "alpha", float(_json_number(self.alpha, "KernelSpec alpha")))
+        object.__setattr__(self, "beta", float(_json_number(self.beta, "KernelSpec beta")))
         if not self.a < self.b:
             raise ConfigError("kernel needs a < b")
         if self.alpha < 0.0 or self.beta < 0.0:
@@ -138,12 +139,10 @@ class KernelSpec:
         h^Delta(t); k, the number of steps with t < x, so [0, k) covers
         [a, x) and [k, n) [x, b); and the dense pieces split at x, as
         (lo, hi, P as a polynomial in t).  Read from h's step table for
-        [a, b); k is counted by sigma steps."""
+        [a, b), k by bisecting its steps."""
         c1, c2 = _branch_coeffs(self)
-        mus, hds, hv, dense = _step_table(self.ts, self.h, self.a, self.b)
-        k, t = 0, self.a
-        while k < len(mus) and t < self.x:
-            k, t = k + 1, self.ts.sigma(t)
+        mus, hds, hv, dense, steps = _step_table(self.ts, self.h, self.a, self.b)
+        k = bisect_left(steps, self.x)
         ps = [c1 * (hv[i] - hv[0]) if i < k else -c2 * (hv[-1] - hv[i])
               for i in range(len(mus))]
         pieces = []
@@ -236,16 +235,11 @@ def kernel_spec_from_json(obj: dict) -> KernelSpec:
     if not isinstance(obj, dict):
         raise ConfigError("kernel spec JSON must be an object")
     try:
-        return KernelSpec(
-            ts=scale_from_json(obj["scale"]),
-            **{name: float(_json_number(obj[name], f"kernel spec field {name!r}"))
-               for name in ("a", "b", "x", "alpha", "beta")},
-            h=func_from_json(obj["h"]),
-        )
+        ts, h = scale_from_json(obj["scale"]), func_from_json(obj["h"])
+        numbers = {name: obj[name] for name in ("a", "b", "x", "alpha", "beta")}
     except KeyError as exc:
         raise ConfigError(f"kernel spec JSON missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad kernel spec JSON: {exc}") from exc
+    return KernelSpec(ts=ts, h=h, **numbers)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +395,7 @@ def _kernel_sums(spec: KernelSpec, f: Func) -> tuple[float, float, float]:
     if entry is not None and entry[0] is spec:
         return entry[1]
     mus, ps, hds, k, dense = spec._grid
-    _, fds, fv, _ = _step_table(spec.ts, f, spec.a, spec.b)
+    _, fds, fv, _, _ = _step_table(spec.ts, f, spec.a, spec.b)
     lhs = left = right = 0.0
     for i, (mu, p, hd, fd, fs) in enumerate(zip(mus, ps, hds, fds, fv[1:])):
         lhs += mu * p * fd
@@ -460,7 +454,7 @@ def _derivative_candidates(ts: TimeScale, f: Func, a: float, b: float,
     one list per window; callers must not mutate what they get."""
     a = ts.canon(a)
     b = ts.canon(b)
-    _, fds, _, dense = _step_table(ts, f, a, b)
+    _, fds, _, dense, _ = _step_table(ts, f, a, b)
     steps = fds[1:] if open_interval else fds
     if not dense:
         return steps
@@ -494,9 +488,12 @@ def _check_bracket(ts: TimeScale, f: Func, a: float, b: float,
                    gamma: float | None, big_gamma: float | None) -> tuple[float, float]:
     """(gamma, Gamma), an end given as None taken from the range of f^Delta."""
     for end in (gamma, big_gamma):
-        if end is not None and not (isinstance(end, (int, float))
-                                    and abs(end) <= sys.float_info.max):
-            raise InvalidBounds(f"gamma and Gamma must be finite numbers, got {end!r}")
+        if end is not None:
+            try:
+                _json_number(end, "gamma")
+            except ConfigError:
+                raise InvalidBounds(f"gamma and Gamma must be finite numbers, "
+                                    f"got {end!r}") from None
     lo, hi = delta_derivative_range(ts, f, a, b)
     if gamma is None:
         gamma = lo
@@ -587,7 +584,7 @@ def bound_t6b(spec: KernelSpec, f: Func, g: Func,
 def _fd_variance(ts: TimeScale, f: Func, a: float, b: float, drift: float) -> float:
     """Variance of f^Delta over [a, b): the mean of (f^Delta)**2 less
     drift**2, where drift = (f(b) - f(a))/(b - a) is the mean of f^Delta."""
-    mus, fds, _, dense = _step_table(ts, f, a, b)
+    mus, fds, _, dense, _ = _step_table(ts, f, a, b)
     total = 0.0
     for mu, fd in zip(mus, fds):
         total += mu * fd * fd

@@ -16,19 +16,57 @@ extremes: ``sigma(max) = max`` and ``rho(min) = min``.
 
 The q-lattice is a finite truncation; it never includes the accumulation
 point 0, so every member is isolated and the discrete enumeration is exact.
+
+``_json_number`` is the package's one number rule: every number a
+constructor keeps is an int or a finite float, never a bool or a string.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import lt
 from typing import ClassVar, Union
 
 from .errors import ConfigError, ContinuousScale, EmptyRange, NotInScale
 
 # Relative slack accepted when matching a float against a lattice member.
 MEMBERSHIP_RTOL = 1e-12
+_FLOAT_MAX = sys.float_info.max
+
+
+def _json_array(value, what: str, n: int | None = None):
+    """value if it is a JSON array (list or tuple), of n entries unless n is None;
+    anything else, a string too, is a ConfigError."""
+    if not isinstance(value, (list, tuple)) or n not in (None, len(value)):
+        raise ConfigError(f"{what} must be a JSON array" + (f" of {n} entries" if n else ""))
+    return value
+
+
+def _json_number(value, what: str, *args, integer: bool = False):
+    """value if it is a JSON number: an int or a float, not a bool, and
+    finite, where an int past the float range counts as infinite.  With
+    integer set, value must be an int, of any size.  The ConfigError names
+    the value as what.format(*args), formatted only when it raises."""
+    kind = type(value)
+    if kind is int or (kind is float and not integer):
+        if integer or -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            return value
+        raise ConfigError(f"{what.format(*args)} must be finite, got {value!r}")
+    raise ConfigError(f"{what.format(*args)} must be a JSON "
+                      f"{'integer' if integer else 'number'}, got {value!r}")
+
+
+def _json_floats(values, what: str) -> tuple[float, ...]:
+    """values, a JSON array of finite numbers, as a tuple of floats.  An array
+    of finite floats is checked in bulk; one that holds anything else is
+    checked entry by entry, and the error names the entry as what[i]."""
+    values = _json_array(values, what)
+    if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
+        return tuple(values)
+    return tuple(float(_json_number(v, "{}[{}]", what, i)) for i, v in enumerate(values))
 
 
 @dataclass(frozen=True)
@@ -138,12 +176,10 @@ class FiniteGrid(_ScaleBase):
     points: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(float(p) for p in self.points)
+        pts = _json_floats(self.points, "FiniteGrid points")
         if len(pts) < 2:
             raise ConfigError("FiniteGrid needs at least two points")
-        if not all(math.isfinite(p) for p in pts):
-            raise ConfigError("FiniteGrid points must be finite")
-        if any(u >= v for u, v in zip(pts, pts[1:])):
+        if not all(map(lt, pts, pts[1:])):
             raise ConfigError("FiniteGrid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
@@ -187,8 +223,8 @@ class IntegerInterval(_ScaleBase):
     hi: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.lo, int) and isinstance(self.hi, int)):
-            raise ConfigError("IntegerInterval bounds must be integers")
+        _json_number(self.lo, "IntegerInterval lo", integer=True)
+        _json_number(self.hi, "IntegerInterval hi", integer=True)
         if not -2 ** 53 <= self.lo < self.hi <= 2 ** 53:
             # past 2**53 neighbouring integers share a float, so points would collapse
             raise ConfigError("IntegerInterval needs -2**53 <= lo < hi <= 2**53")
@@ -238,10 +274,11 @@ class QLattice(_ScaleBase):
     kmax: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "q", float(_json_number(self.q, "QLattice q")))
+        _json_number(self.kmin, "QLattice kmin", integer=True)
+        _json_number(self.kmax, "QLattice kmax", integer=True)
         if not self.q > 1.0:
             raise ConfigError("QLattice needs q > 1")
-        if not (isinstance(self.kmin, int) and isinstance(self.kmax, int)):
-            raise ConfigError("QLattice exponents must be integers")
         if self.kmin >= self.kmax:
             raise ConfigError("QLattice needs kmin < kmax")
         try:
@@ -300,12 +337,10 @@ class RealInterval(_ScaleBase):
     hi: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "lo", float(_json_number(self.lo, "RealInterval lo")))
+        object.__setattr__(self, "hi", float(_json_number(self.hi, "RealInterval hi")))
         if not self.lo < self.hi:
             raise ConfigError("RealInterval needs lo < hi")
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ConfigError("RealInterval ends must be finite")
 
     @property
     def min_point(self) -> float:
@@ -343,41 +378,18 @@ class RealInterval(_ScaleBase):
 TimeScale = Union[FiniteGrid, IntegerInterval, QLattice, RealInterval]
 
 
-def _json_array(value, what: str, n: int | None = None):
-    """value if it is a JSON array (list or tuple), of n entries unless n is None;
-    anything else, a string too, is a ConfigError."""
-    if not isinstance(value, (list, tuple)) or n not in (None, len(value)):
-        raise ConfigError(f"{what} must be a JSON array" + (f" of {n} entries" if n else ""))
-    return value
-
-
-def _json_number(value, what: str, integer: bool = False):
-    """value if it is a JSON number, or with integer set a JSON integer; a
-    bool, a numeric string or, for an integer, a float such as 3.0 is a
-    ConfigError."""
-    if not (type(value) is int or (type(value) is float and not integer)):
-        raise ConfigError(f"{what} must be a JSON {'integer' if integer else 'number'}, "
-                          f"got {value!r}")
-    return value
-
-
-# kind: (scale class, {JSON field: the value it takes, int an integer, float
-# a number, list an array of numbers}), the fields in wire order after
-# "kind"; scale_to_json and scale_from_json read only this table.
-SCALE_KINDS = {cls.kind: (cls, fields) for cls, fields in (
-    (FiniteGrid, {"points": list}),
-    (IntegerInterval, {"lo": int, "hi": int}),
-    (QLattice, {"q": float, "kmin": int, "kmax": int}),
-    (RealInterval, {"lo": float, "hi": float}),
-)}
+# kind: scale class.  The wire form is the kind, then the class's dataclass
+# fields in order (``kind`` is a ClassVar, not a field); scale_to_json and
+# scale_from_json read only this table, and the class checks the values.
+SCALE_KINDS = {cls.kind: cls for cls in (FiniteGrid, IntegerInterval, QLattice, RealInterval)}
 
 
 def scale_to_json(ts: TimeScale) -> dict:
     """Serialize a scale to its wire form (see scale_from_json)."""
     out = {"kind": ts.kind}
-    for name in SCALE_KINDS[ts.kind][1]:
-        value = getattr(ts, name)
-        out[name] = list(value) if isinstance(value, tuple) else value
+    for field in fields(ts):
+        value = getattr(ts, field.name)
+        out[field.name] = list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -388,16 +400,9 @@ def scale_from_json(obj: dict) -> TimeScale:
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in SCALE_KINDS:
         raise ConfigError(f"unknown scale kind {kind!r}")
-    cls, fields = SCALE_KINDS[kind]
-
-    def parse(name: str, takes: type):
-        if takes is list:
-            return [_json_number(p, "grid point") for p in _json_array(obj[name], "grid points")]
-        return takes(_json_number(obj[name], f"scale field {name!r}", takes is int))
-
+    cls = SCALE_KINDS[kind]
     try:
-        return cls(**{name: parse(name, takes) for name, takes in fields.items()})
+        args = {field.name: obj[field.name] for field in fields(cls)}
     except KeyError as exc:
         raise ConfigError(f"scale JSON missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad scale JSON: {exc}") from exc
+    return cls(**args)

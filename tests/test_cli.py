@@ -432,6 +432,21 @@ def test_eval_rejects_a_bracket_end_that_is_not_a_finite_number(bracket, tmp_pat
     assert not out.exists()                                   # no report, so no NaN in one
 
 
+def test_eval_rejects_a_bool_bracket_end_and_keeps_an_int_one(tmp_path, capsys):
+    # f = t^2 has f^Delta in [1, 7], so true, read as 1, bracketed it and
+    # the report printed "gamma": true
+    cfgf = tmp_path / "ev.json"
+    out = tmp_path / "o.json"
+    cfgf.write_text(json.dumps(WORKED_EVAL | {"gamma": True}))
+    assert run(["eval", "--config", str(cfgf), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+    cfgf.write_text(json.dumps(WORKED_EVAL | {"big_gamma": 7}))
+    assert run(["eval", "--config", str(cfgf), "--out", str(out)]) == 0
+    assert '"big_gamma": 7,' in out.read_text()
+
+
 def test_eval_scale_override(tmp_path):
     cfgf = tmp_path / "ev.json"
     cfgf.write_text(json.dumps(WORKED_EVAL))

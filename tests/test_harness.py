@@ -13,6 +13,7 @@ from delta_ineq import (
     FiniteGrid,
     FuncFamily,
     IntegerInterval,
+    InvalidBounds,
     KernelSpec,
     Polynomial,
     QLattice,
@@ -715,6 +716,15 @@ def test_t7_chain_witness_replays_its_failure(monkeypatch):
         assert (fresh["lhs"], fresh["rhs"], fresh["slack"]) == (w["lhs"], w["rhs"], w["slack"])
         plain = replay_witness({k: v for k, v in w.items() if k != "check"})
         assert set(plain) == {"lhs", "rhs", "slack"}
+
+
+def test_replay_of_a_bound_witness_with_a_bool_bracket_end_is_invalid_bounds():
+    spec, f = kernel_spec_to_json(Z08_SPEC), func_to_json(Polynomial((1.0, 0.0, 1.0)))
+    witness = {"kind": "bound", "theorem": "T8", "variant": "corrected", "spec": spec,
+               "f": f, "gamma": False, "big_gamma": None}
+    with pytest.raises(InvalidBounds):
+        replay_witness(witness)
+    assert replay_witness(witness | {"gamma": None})["slack"] >= 0.0
 
 
 def test_replay_identity_witness_round_trip():

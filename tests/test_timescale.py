@@ -117,6 +117,14 @@ def test_qlattice_points_and_jumps():
     assert ts.grid_points(1.0, 8.0) == [1.0, 2.0, 4.0]
 
 
+def test_qlattice_keeps_q_and_its_points_as_floats():
+    # an int q once gave int points: QLattice(2, 0, 3) held [1, 2, 4, 8]
+    ts = QLattice(2, 0, 3)
+    assert type(ts.q) is float
+    assert [type(t) for t in ts.all_points()] == [float] * 4
+    assert ts == QLattice(2.0, 0, 3) == scale_from_json(scale_to_json(ts))
+
+
 def test_qlattice_membership_is_tolerant_of_rounding():
     ts = QLattice(1.1, 0, 40)
     t = 1.1 ** 23
