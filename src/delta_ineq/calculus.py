@@ -202,15 +202,25 @@ def _step_table(ts: TimeScale, f: Func, a: float, b: float
     f[-1] is f(b), and f(t) and f(sigma(t)) of step i are f[i] and
     f[i + 1]; the dense pieces (lo, hi) of ``ts.pieces``; and the steps,
     the right-scattered points themselves, ascending.  A window with a dense
-    piece needs a polynomial f.  Kept in f's memo under (ts, a, b) and
-    shared by every caller: treat it as read-only."""
+    piece needs a polynomial f.  A sampled f's values are read straight from
+    its table, a missing point raising feval's MissingSample.  Kept in f's
+    memo under (ts, a, b) and shared by every caller: treat it as read-only."""
     table = f._delta_memo.get((ts, a, b))
     if table is None:
         pts, dense = ts.pieces(a, b)
-        if dense and not isinstance(f, Polynomial):
+        if isinstance(f, Polynomial):
+            coeffs = f.coeffs
+            vals = [poly_eval(coeffs, t) for t in pts or [a]]
+            vals.append(poly_eval(coeffs, b))
+        elif dense:
             raise ContinuousScale("a sampled function has no integral over a dense piece")
-        vals = [feval(f, t) for t in pts or [a]]
-        vals.append(feval(f, b))
+        else:
+            samples = f.table
+            try:
+                vals = [samples[t] for t in pts or [a]]
+                vals.append(samples[b])
+            except KeyError as exc:
+                feval(f, exc.args[0])       # raises feval's MissingSample for that point
         mus = [nxt - t for t, nxt in zip(pts, pts[1:] + [b])]
         fds = [(fnxt - ft) / mu for ft, fnxt, mu in zip(vals, vals[1:], mus)]
         table = f._delta_memo[(ts, a, b)] = (mus, fds, vals, dense, pts)

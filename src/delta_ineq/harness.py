@@ -10,7 +10,6 @@ function of the configuration except for the wall-time field.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import sys
 import time
 from dataclasses import dataclass, field
@@ -195,6 +194,17 @@ class FuncFamily:
             raise ConfigError(f"max_degree must be an integer from 0 to {MAX_DRAW - 1}")
 
 
+_VARIANTS = {v.value: v for v in Variant}
+
+
+def _row(table: dict, key, what: str):
+    """table[key] for a config entry or a witness field; a key that is not a
+    known string, such as a list, is a ConfigError."""
+    if not isinstance(key, str) or key not in table:
+        raise ConfigError(f"unknown {what} {key!r}")
+    return table[key]
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Configuration shared by all suites.
@@ -218,8 +228,15 @@ class TrialConfig:
         _json_number(self.seed, "seed", integer=True)
         if _json_number(self.n_trials, "trials", integer=True) < 0:
             raise ConfigError("n_trials must be >= 0")
-        object.__setattr__(self, "scale_families", tuple(self.scale_families))
-        object.__setattr__(self, "variants", tuple(Variant(v) for v in self.variants))
+        object.__setattr__(self, "scale_families",
+                           tuple(_json_array(self.scale_families, "scale_families")))
+        object.__setattr__(self, "variants", tuple(_row(_VARIANTS, v, "variant")
+                                                   for v in _json_array(self.variants, "variants")))
+        for name in ("func_family", "weight_family"):
+            if not isinstance(getattr(self, name), FuncFamily):
+                raise ConfigError(f"{name} must be a FuncFamily, got {getattr(self, name)!r}")
+        if not isinstance(self.fixed_scale, (type(None), *SCALE_KINDS.values())):
+            raise ConfigError(f"fixed_scale must be a time scale or None, got {self.fixed_scale!r}")
         lo, hi = (_json_number(n, "size_range", integer=True)
                   for n in _json_array(self.size_range, "size_range", 2))
         object.__setattr__(self, "size_range", (lo, hi))
@@ -282,20 +299,17 @@ def config_from_json(obj: dict, suite: str = "bounds") -> TrialConfig:
     keys, func_keys = SUITE_CONFIG_KEYS[suite]
     _reject_unknown(obj, keys, "config")
     base = TrialConfig()
-    try:
-        return TrialConfig(
-            seed=obj.get("seed", base.seed),
-            n_trials=obj.get("trials", base.n_trials),
-            tolerance=obj.get("tolerance", base.tolerance),
-            scale_families=_json_array(obj.get("scales", base.scale_families), "scales"),
-            size_range=obj.get("size_range", base.size_range),
-            func_family=_family_from_json(obj.get("func", {}), base.func_family, func_keys),
-            weight_family=_family_from_json(obj.get("weight", {}), base.weight_family),
-            variants=_json_array(obj.get("variants", [v.value for v in base.variants]), "variants"),
-            fixed_scale=scale_from_json(obj["scale"]) if "scale" in obj else None,
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
+    return TrialConfig(
+        seed=obj.get("seed", base.seed),
+        n_trials=obj.get("trials", base.n_trials),
+        tolerance=obj.get("tolerance", base.tolerance),
+        scale_families=_json_array(obj.get("scales", base.scale_families), "scales"),
+        size_range=obj.get("size_range", base.size_range),
+        func_family=_family_from_json(obj.get("func", {}), base.func_family, func_keys),
+        weight_family=_family_from_json(obj.get("weight", {}), base.weight_family),
+        variants=_json_array(obj.get("variants", [v.value for v in base.variants]), "variants"),
+        fixed_scale=scale_from_json(obj["scale"]) if "scale" in obj else None,
+    )
 
 
 def config_to_json(config: TrialConfig) -> dict:
@@ -529,6 +543,31 @@ class _Recorder:
         if not self.aggs[label].add(*measure, self.config.tolerance):
             (self.findings if finding else self.failures).append(witness())
 
+    def bound_trial(self, labels: dict, trial: int, spec: KernelSpec, f: Func, g: Func,
+                    gamma: float, big_gamma: float, once: dict, reports: list,
+                    keep_rows: bool) -> None:
+        """Record one trial of evaluate_bounds: the t7-chain check of once,
+        then per report its CSV row (keep_rows) and its check, under
+        labels[theorem, variant] = (its aggregate, whether a failure is a
+        finding).  A failing check records its _bound_witness; the trial's
+        spec, f and g JSON are built on first need, once per trial, and
+        every witness of the trial holds those objects."""
+        seed, tol = self.config.seed, self.config.tolerance
+        jsons: dict = {}
+        if not self.aggs["t7-chain"].add(*_t7_chain(once), tol):
+            self.failures.append(
+                _bound_witness(seed, trial, once["T7-L2"], *_trial_json(jsons, spec, f),
+                               gamma, big_gamma) | {"check": "t7-chain"})
+        for rep in reports:
+            if keep_rows:
+                self.rows.append(bound_row(trial, rep, spec, tol))
+            agg, finding = labels[rep.theorem, rep.variant]
+            if not agg.add(rep, tol):
+                (self.findings if finding else self.failures).append(_bound_witness(
+                    seed, trial, rep,
+                    *_trial_json(jsons, spec, f, g if rep.theorem in READS_G else None),
+                    gamma, big_gamma))
+
     def report(self) -> SuiteReport:
         return SuiteReport(
             suite=self.suite,
@@ -662,6 +701,18 @@ def _bound_witness(seed: int, trial: int, rep: BoundReport, spec_json: dict,
     return w
 
 
+def _trial_json(jsons: dict, spec: KernelSpec, f: Func, g: Func | None = None) -> tuple:
+    """(spec, f, g) JSON of one trial, g's None when g is.  jsons is the
+    trial's dict: each JSON is built on first need and kept there."""
+    if not jsons:
+        jsons["spec"], jsons["f"] = kernel_spec_to_json(spec), func_to_json(f)
+    if g is None:
+        return jsons["spec"], jsons["f"], None
+    if "g" not in jsons:
+        jsons["g"] = func_to_json(g)
+    return jsons["spec"], jsons["f"], jsons["g"]
+
+
 def _t7_chain(reports: dict) -> tuple[float, float]:
     """(residual, reference) of the T7 ordering rhs(T7-L2) <= rhs(T7-Gruss)."""
     l2, gruss = reports["T7-L2"].rhs, reports["T7-Gruss"].rhs
@@ -676,35 +727,20 @@ def run_bound_suite(config: TrialConfig, keep_rows: bool = False) -> SuiteReport
     identical across variants.  gamma, Gamma are the exact range of f^Delta.
     The L2-vs-Gruss ordering of the T7 right sides is asserted per trial.
     The per-evaluation rows, which only CSV output writes, are kept only
-    with keep_rows.  The JSON of a trial's spec, f and g is built when a
-    witness of the trial first needs it, and every witness of the trial
-    holds that one object.
+    with keep_rows.  One _Recorder.bound_trial call records each trial.
     """
-    keys = sorted(f"{name}/{v.value}" for v in config.variants for name in THEOREMS)
-    aggs: dict = {key: _BoundAgg() for key in keys}
+    keys = {(name, v): f"{name}/{v.value}" for v in config.variants for name in THEOREMS}
+    aggs: dict = {key: _BoundAgg() for key in sorted(keys.values())}
     aggs["t7-chain"] = _IdentityAgg()
     rec = _Recorder("bounds", config, aggs)
+    labels = {(name, v): (aggs[key], v is not Variant.CORRECTED) for (name, v), key in keys.items()}
 
     for i in range(config.n_trials):
         rng = trial_rng(config.seed, i)
         spec, f, g = _draw_trial(rng, config, with_g=True)
         gamma, big_gamma = delta_derivative_range(spec.ts, f, spec.a, spec.b)
         once, reports = evaluate_bounds(spec, f, g, config.variants, gamma, big_gamma)
-        spec_json = functools.cache(lambda: kernel_spec_to_json(spec))
-        f_json = functools.cache(lambda: func_to_json(f))
-        g_json = functools.cache(lambda: func_to_json(g))
-        rec.check("t7-chain", lambda: _bound_witness(config.seed, i, once["T7-L2"], spec_json(),
-                                                     f_json(), None, gamma, big_gamma)
-                  | {"check": "t7-chain"}, *_t7_chain(once))
-
-        for rep in reports:
-            if keep_rows:
-                rec.rows.append(bound_row(i, rep, spec, config.tolerance))
-            rec.check(f"{rep.theorem}/{rep.variant.value}",
-                      lambda: _bound_witness(config.seed, i, rep, spec_json(), f_json(),
-                                             g_json() if rep.theorem in READS_G else None,
-                                             gamma, big_gamma),
-                      rep, finding=rep.variant is not Variant.CORRECTED)
+        rec.bound_trial(labels, i, spec, f, g, gamma, big_gamma, once, reports, keep_rows)
 
     return rec.report()
 
@@ -839,17 +875,6 @@ class _Witness(dict):
 
     def __missing__(self, name: str):
         raise ConfigError(f"witness missing field {name!r}")
-
-
-_VARIANTS = {v.value: v for v in Variant}
-
-
-def _row(table: dict, key, what: str):
-    """table[key] for a witness field; a key that is not a known string,
-    such as a list, is a ConfigError."""
-    if not isinstance(key, str) or key not in table:
-        raise ConfigError(f"unknown {what} {key!r}")
-    return table[key]
 
 
 def replay_witness(witness: dict) -> dict:

@@ -28,6 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 
 from .calculus import (
     Func,
@@ -397,12 +398,13 @@ def _kernel_sums(spec: KernelSpec, f: Func) -> tuple[float, float, float]:
     mus, ps, hds, k, dense = spec._grid
     _, fds, fv, _, _ = _step_table(spec.ts, f, spec.a, spec.b)
     lhs = left = right = 0.0
-    for i, (mu, p, hd, fd, fs) in enumerate(zip(mus, ps, hds, fds, fv[1:])):
+    steps = zip(mus, ps, hds, fds, fv[1:])
+    for mu, p, hd, fd, fs in islice(steps, k):      # [a, x)
         lhs += mu * p * fd
-        if i < k:
-            left += mu * hd * fs
-        else:
-            right += mu * hd * fs
+        left += mu * hd * fs
+    for mu, p, hd, fd, fs in steps:                 # [x, b)
+        lhs += mu * p * fd
+        right += mu * hd * fs
     if dense:
         fd_coeffs = poly_derive(f.coeffs)
         hd_f = poly_mul(poly_derive(spec.h.coeffs), f.coeffs)
@@ -430,11 +432,15 @@ def montgomery_lhs(spec: KernelSpec, f: Func) -> float:
     return _kernel_sums(spec, f)[0]
 
 
+def _rhs(fx: float, bracket: float, w: float, s: float) -> float:
+    """The closed side over values read: f(x)/w * B - S(f)/w, w = alpha+beta."""
+    return fx * bracket / w - s / w
+
+
 def montgomery_rhs(spec: KernelSpec, f: Func) -> float:
     """Closed side of the identity:
     f(x)/(alpha+beta) * bracket - S(f)/(alpha+beta)."""
-    w = spec.alpha + spec.beta
-    return feval(f, spec.x) * spec._bracket / w - _kernel_sums(spec, f)[1] / w
+    return _rhs(feval(f, spec.x), spec._bracket, spec.alpha + spec.beta, _kernel_sums(spec, f)[1])
 
 
 def identity_residual(spec: KernelSpec, f: Func) -> float:
@@ -517,6 +523,63 @@ def _clamped_variance(v: float) -> float:
 
 # ---------------------------------------------------------------------------
 # bounds
+#
+# Each theorem's formula is written once, over values already read: the
+# kernel sums (int P f^Delta, S(f), M) of f and of g, f(x) and g(x), the
+# bracket B, the kernel moments, w = alpha + beta, and for T7-Gruss and T8 a
+# checked (gamma, Gamma).  A public bound_* reads its inputs and calls its
+# formula; evaluate_bounds reads them once for every theorem.
+
+
+def _t5(variant: Variant, w: float, bracket: float, iabs: float,
+        fx: float, sf: float, m1: float) -> BoundReport:
+    lhs = abs(_rhs(fx, bracket, w, sf))
+    rhs = m1 * iabs
+    if variant is Variant.PAPER_LITERAL:
+        rhs /= w
+    return BoundReport("T5", variant, lhs, rhs, rhs - lhs)
+
+
+def _t6a(variant: Variant, w: float, bracket: float, iabs: float,
+         fx: float, sf: float, m1: float, gx: float, sg: float, m2: float) -> BoundReport:
+    lhs = abs(fx * gx * bracket / w - (gx * sf + fx * sg) / (2.0 * w))
+    rhs = (m1 * abs(gx) + m2 * abs(fx)) / 2.0 * iabs
+    if variant is Variant.PAPER_LITERAL:
+        rhs /= w
+    return BoundReport("T6a", variant, lhs, rhs, rhs - lhs)
+
+
+def _t6b(variant: Variant, w: float, iabs: float,
+         lf: float, m1: float, lg: float, m2: float) -> BoundReport:
+    lhs = abs(w * w * lf * lg)
+    rhs = w * w * iabs * iabs
+    if variant is Variant.CORRECTED:
+        rhs *= m1 * m2
+    return BoundReport("T6b", variant, lhs, rhs, rhs - lhs)
+
+
+def _t7_sides(mom: Moments, width: float, lf: float, drift: float) -> tuple[float, float]:
+    """(lhs, (b-a) sqrt(var P)), shared by both T7 modes."""
+    lhs = abs(lf - drift * mom.int_p)
+    var_p = _clamped_variance(mom.int_p2 / width - (mom.int_p / width) ** 2)
+    return lhs, width * math.sqrt(var_p)
+
+
+def _t7_l2(lhs: float, root: float, var_f: float) -> BoundReport:
+    rhs = root * math.sqrt(var_f)
+    return BoundReport("T7-L2", Variant.CORRECTED, lhs, rhs, rhs - lhs)
+
+
+def _t7_gruss(lhs: float, root: float, gamma: float, big_gamma: float) -> BoundReport:
+    rhs = root * (big_gamma - gamma) / 2.0
+    return BoundReport("T7-Gruss", Variant.CORRECTED, lhs, rhs, rhs - lhs)
+
+
+def _t8(mom: Moments, lf: float, gamma: float, big_gamma: float) -> BoundReport:
+    mid = 0.5 * (gamma + big_gamma)
+    lhs = abs(lf - mid * mom.int_p)
+    rhs = 0.5 * (big_gamma - gamma) * mom.int_abs_p
+    return BoundReport("T8", Variant.CORRECTED, lhs, rhs, rhs - lhs)
 
 
 def bound_t5(spec: KernelSpec, f: Func, variant: Variant = Variant.CORRECTED) -> BoundReport:
@@ -526,11 +589,10 @@ def bound_t5(spec: KernelSpec, f: Func, variant: Variant = Variant.CORRECTED) ->
     The literal variant divides the right side by (alpha + beta), as
     printed; that normalization is not scale invariant and can be violated.
     """
-    lhs = abs(montgomery_rhs(spec, f))
-    rhs = _kernel_sums(spec, f)[2] * kernel_moments(spec).int_abs_p
-    if variant is Variant.PAPER_LITERAL:
-        rhs /= spec.alpha + spec.beta
-    return BoundReport("T5", variant, lhs, rhs, rhs - lhs)
+    fx = feval(f, spec.x)
+    bracket = spec._bracket
+    _, sf, m1 = _kernel_sums(spec, f)
+    return _t5(variant, spec.alpha + spec.beta, bracket, spec._moments.int_abs_p, fx, sf, m1)
 
 
 def bound_t6a(spec: KernelSpec, f: Func, g: Func,
@@ -542,16 +604,12 @@ def bound_t6a(spec: KernelSpec, f: Func, g: Func,
     rhs (corrected) = (M1|g(x)| + M2|f(x)|)/2 * int |P|; the literal form
     divides once more by w.
     """
-    w = spec.alpha + spec.beta
     fx = feval(f, spec.x)
     gx = feval(g, spec.x)
     _, sf, m1 = _kernel_sums(spec, f)
     _, sg, m2 = _kernel_sums(spec, g)
-    lhs = abs(fx * gx * spec._bracket / w - (gx * sf + fx * sg) / (2.0 * w))
-    rhs = (m1 * abs(gx) + m2 * abs(fx)) / 2.0 * kernel_moments(spec).int_abs_p
-    if variant is Variant.PAPER_LITERAL:
-        rhs /= w
-    return BoundReport("T6a", variant, lhs, rhs, rhs - lhs)
+    return _t6a(variant, spec.alpha + spec.beta, spec._bracket, spec._moments.int_abs_p,
+                fx, sf, m1, gx, sg, m2)
 
 
 def bound_t6b(spec: KernelSpec, f: Func, g: Func,
@@ -570,15 +628,9 @@ def bound_t6b(spec: KernelSpec, f: Func, g: Func,
     rhs (corrected) = w**2 M1 M2 (int |P|)**2; the literal printing omits
     the M1 M2 factor.
     """
-    w = spec.alpha + spec.beta
     lf, _, m1 = _kernel_sums(spec, f)
     lg, _, m2 = _kernel_sums(spec, g)
-    lhs = abs(w * w * lf * lg)
-    iabs = kernel_moments(spec).int_abs_p
-    rhs = w * w * iabs * iabs
-    if variant is Variant.CORRECTED:
-        rhs *= m1 * m2
-    return BoundReport("T6b", variant, lhs, rhs, rhs - lhs)
+    return _t6b(variant, spec.alpha + spec.beta, spec._moments.int_abs_p, lf, m1, lg, m2)
 
 
 def _fd_variance(ts: TimeScale, f: Func, a: float, b: float, drift: float) -> float:
@@ -607,20 +659,13 @@ def bound_t7(spec: KernelSpec, f: Func, mode: str = "l2",
     """
     if mode not in ("l2", "gruss"):
         raise ConfigError(f"unknown T7 mode {mode!r}")
-    mom = kernel_moments(spec)
+    mom = spec._moments
     width = spec.b - spec.a
     drift = (feval(f, spec.b) - feval(f, spec.a)) / width
-    lhs = abs(montgomery_lhs(spec, f) - drift * mom.int_p)
-    var_p = _clamped_variance(mom.int_p2 / width - (mom.int_p / width) ** 2)
+    lhs, root = _t7_sides(mom, width, _kernel_sums(spec, f)[0], drift)
     if mode == "l2":
-        var_f = _fd_variance(spec.ts, f, spec.a, spec.b, drift)
-        rhs = width * math.sqrt(var_p) * math.sqrt(var_f)
-        name = "T7-L2"
-    else:
-        gamma, big_gamma = _check_bracket(spec.ts, f, spec.a, spec.b, gamma, big_gamma)
-        rhs = width * math.sqrt(var_p) * (big_gamma - gamma) / 2.0
-        name = "T7-Gruss"
-    return BoundReport(name, Variant.CORRECTED, lhs, rhs, rhs - lhs)
+        return _t7_l2(lhs, root, _fd_variance(spec.ts, f, spec.a, spec.b, drift))
+    return _t7_gruss(lhs, root, *_check_bracket(spec.ts, f, spec.a, spec.b, gamma, big_gamma))
 
 
 def bound_t8(spec: KernelSpec, f: Func, gamma: float | None = None,
@@ -632,18 +677,14 @@ def bound_t8(spec: KernelSpec, f: Func, gamma: float | None = None,
     reports are tagged CORRECTED.
     """
     gamma, big_gamma = _check_bracket(spec.ts, f, spec.a, spec.b, gamma, big_gamma)
-    mom = kernel_moments(spec)
-    mid = 0.5 * (gamma + big_gamma)
-    lhs = abs(montgomery_lhs(spec, f) - mid * mom.int_p)
-    rhs = 0.5 * (big_gamma - gamma) * mom.int_abs_p
-    return BoundReport("T8", Variant.CORRECTED, lhs, rhs, rhs - lhs)
+    return _t8(spec._moments, _kernel_sums(spec, f)[0], gamma, big_gamma)
 
 
 # Evaluator per theorem id, called as (spec, f, g, variant, gamma, big_gamma).
 # Only the product bounds (READS_G) read g, only T7-Gruss and T8 read the
 # bracket [gamma, Gamma] (None: the exact range of f^Delta).  T7 and T8 are
-# printed weight-scale invariant (VARIANT_FREE): they ignore the variant and
-# tag reports CORRECTED.
+# printed weight-scale invariant: they ignore the variant and tag reports
+# CORRECTED.
 BOUNDS = {
     "T5": lambda spec, f, g, variant, gamma, big_gamma: bound_t5(spec, f, variant),
     "T6a": lambda spec, f, g, variant, gamma, big_gamma: bound_t6a(spec, f, g, variant),
@@ -654,30 +695,43 @@ BOUNDS = {
     "T8": lambda spec, f, g, variant, gamma, big_gamma: bound_t8(spec, f, gamma, big_gamma),
 }
 THEOREMS = tuple(BOUNDS)
-VARIANT_FREE = ("T7-L2", "T7-Gruss", "T8")
 READS_G = ("T6a", "T6b")
 
 
 def evaluate_bounds(spec: KernelSpec, f: Func, g: Func, variants: tuple[Variant, ...],
                     gamma: float | None = None, big_gamma: float | None = None
                     ) -> tuple[dict[str, BoundReport], list[BoundReport]]:
-    """Every theorem under each variant, in THEOREMS order within a variant.
+    """Every theorem under each variant, in THEOREMS order within a variant,
+    each equal to its bound_* call.
 
-    The variant-free theorems are evaluated once, before the others; they
-    come back by id as evaluated (tagged CORRECTED), and in the list
-    re-tagged with each variant.
+    Each input is read once: the kernel sums of f and of g, f(x), g(x), f(a)
+    and f(b), B and the moments, and the bracket, checked once for T7-Gruss
+    and T8.  The variant-free theorems (T7-L2, T7-Gruss, T8) are evaluated
+    once, before the others, and come back by id as evaluated (tagged
+    CORRECTED), and in the list tagged with each variant.
     """
-    once = {name: BOUNDS[name](spec, f, g, Variant.CORRECTED, gamma, big_gamma)
-            for name in VARIANT_FREE}
+    mom = spec._moments
+    width = spec.b - spec.a
+    drift = (feval(f, spec.b) - feval(f, spec.a)) / width
+    lf, sf, m1 = _kernel_sums(spec, f)
+    lhs, root = _t7_sides(mom, width, lf, drift)
+    l2 = _t7_l2(lhs, root, _fd_variance(spec.ts, f, spec.a, spec.b, drift))
+    gamma, big_gamma = _check_bracket(spec.ts, f, spec.a, spec.b, gamma, big_gamma)
+    once = {"T7-L2": l2, "T7-Gruss": _t7_gruss(lhs, root, gamma, big_gamma),
+            "T8": _t8(mom, lf, gamma, big_gamma)}
+    w, iabs = spec.alpha + spec.beta, mom.int_abs_p
+    fx = feval(f, spec.x)
+    bracket = spec._bracket
+    gx = feval(g, spec.x)
+    lg, sg, m2 = _kernel_sums(spec, g)
     reports = []
     for variant in variants:
-        for name in THEOREMS:
-            rep = once.get(name)
-            if rep is None:
-                rep = BOUNDS[name](spec, f, g, variant, gamma, big_gamma)
-            else:
-                rep = BoundReport(rep.theorem, variant, rep.lhs, rep.rhs, rep.slack)
-            reports.append(rep)
+        reports.append(_t5(variant, w, bracket, iabs, fx, sf, m1))
+        reports.append(_t6a(variant, w, bracket, iabs, fx, sf, m1, gx, sg, m2))
+        reports.append(_t6b(variant, w, iabs, lf, m1, lg, m2))
+        for rep in once.values():
+            reports.append(rep if rep.variant is variant
+                           else BoundReport(rep.theorem, variant, rep.lhs, rep.rhs, rep.slack))
     return once, reports
 
 

@@ -28,6 +28,7 @@ from delta_ineq import (
     parts_residual,
     product_rule_residual,
 )
+from delta_ineq.calculus import _step_table
 
 Z04 = IntegerInterval(0, 4)
 T_SQUARED = Polynomial((0.0, 0.0, 1.0))
@@ -46,6 +47,28 @@ def test_feval_sampled_and_missing():
     assert feval(s, 1.0) == -1.0
     with pytest.raises(MissingSample):
         feval(s, 0.5)
+
+
+def test_a_cold_step_table_missing_a_window_point_raises_what_feval_raises():
+    # the table reads a sampled f's values straight from its samples, and a
+    # missing point of [a, b], a and b included, names that point as feval does
+    ts = FiniteGrid((0.0, 0.5, 1.25, 2.0, 3.0))
+    for missing in (0.0, 1.25, 3.0):
+        f = Sampled({t: 1.0 for t in ts.all_points() if t != missing})
+        with pytest.raises(MissingSample) as want:
+            feval(f, missing)
+        with pytest.raises(MissingSample) as got:
+            _step_table(ts, f, 0.0, 3.0)
+        assert str(got.value) == str(want.value) == f"no sample at t={missing!r}"
+        assert got.value.__suppress_context__ and want.value.__suppress_context__
+        assert not f._delta_memo
+    # a point outside the window is not read
+    f = Sampled({t: 1.0 for t in ts.all_points() if t != 3.0})
+    assert _step_table(ts, f, 0.0, 2.0)[2] == [1.0, 1.0, 1.0, 1.0]
+    spec = KernelSpec(ts=ts, a=0.0, b=3.0, x=1.25, alpha=1.0, beta=1.0,
+                      h=Sampled({t: t for t in ts.all_points()}))
+    with pytest.raises(MissingSample, match=r"no sample at t=3\.0$"):
+        bound_t5(spec, f)
 
 
 def test_func_json_round_trip():

@@ -163,6 +163,12 @@ HEAD_CASES = [
     (lambda: FiniteGrid([0, True, 2]), r"FiniteGrid points\[1\] must be a JSON number"),
     (lambda: QLattice(2.0, False, 3), "QLattice kmin must be a JSON integer"),
     (lambda: FuncFamily(max_degree=10 ** 400), "max_degree must be an integer from 0"),
+    (lambda: TrialConfig(variants=("bogus",)), "unknown variant 'bogus'"),
+    (lambda: TrialConfig(variants=5), "variants must be a JSON array"),
+    (lambda: TrialConfig(scale_families=5), "scale_families must be a JSON array"),
+    (lambda: TrialConfig(func_family="x"), "func_family must be a FuncFamily, got 'x'"),
+    (lambda: TrialConfig(weight_family={"kind": "poly"}), "weight_family must be a FuncFamily"),
+    (lambda: TrialConfig(fixed_scale=5), "fixed_scale must be a time scale or None"),
 ]
 
 

@@ -39,7 +39,7 @@ from delta_ineq import (
     sharpness_search,
     trial_rng,
 )
-from delta_ineq import harness
+from delta_ineq import harness, ostrowski
 from delta_ineq.harness import STEP_FLOOR
 from delta_ineq.ostrowski import BOUNDS
 from delta_ineq.timescale import _ScaleBase
@@ -449,6 +449,26 @@ def test_suites_build_witnesses_only_for_failing_checks(monkeypatch):
                                           variants=(Variant.PAPER_LITERAL,)))
     assert calls["_identity_witness"] == len(failing.failures) > 0
     assert calls["_bound_witness"] == len(literal.findings) + len(literal.failures) > 0
+
+
+def test_one_bound_trial_reads_the_range_of_f_delta_at_most_twice(monkeypatch):
+    # once for the suite's (gamma, Gamma), once when evaluate_bounds checks
+    # that bracket for T7-Gruss and T8 together
+    calls = {"delta_derivative_range": 0, "_check_bracket": 0}
+    for module, name in ((ostrowski, "delta_derivative_range"),
+                         (harness, "delta_derivative_range"), (ostrowski, "_check_bracket")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    for seed in range(8):
+        for name in calls:
+            calls[name] = 0
+        config = TrialConfig(seed=seed, n_trials=1, variants=(Variant.PAPER_LITERAL,
+                                                              Variant.CORRECTED))
+        assert run_bound_suite(config).checks["T8/corrected"]["trials"] == 1
+        assert calls["delta_derivative_range"] <= 2 and calls["_check_bracket"] == 1
 
 
 def test_witnesses_of_one_bound_trial_share_its_spec_and_functions():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from delta_ineq import (
     ConfigError,
     ContinuousScale,
+    DeltaIneqError,
     EmptyRange,
     FamilyMismatch,
     FiniteGrid,
@@ -53,9 +54,10 @@ from delta_ineq import (
     sup_abs_delta_derivative,
 )
 from delta_ineq import ostrowski
-from delta_ineq.calculus import poly_add, poly_definite, poly_eval, poly_scale
+from delta_ineq.calculus import _step_table, poly_add, poly_definite, poly_eval, poly_scale
 from delta_ineq.harness import config_from_json, run_bound_suite
 from delta_ineq.ostrowski import (
+    BOUNDS,
     ROOT_REFINE_TOL,
     ROOT_SCAN_CELLS,
     THEOREMS,
@@ -354,10 +356,13 @@ def _draw_discrete_scale(draw, n):
 
 
 @st.composite
-def anchored_spec_and_funcs(draw):
+def anchored_spec_and_funcs(draw, wide=False):
     """x = a with alpha = 0 on a grid, integer or q-lattice scale, with
     sampled h, f and g.  Drawn here, not by the suites' _draw_x, which keeps
-    x interior, so that the suite reports stay as they are."""
+    x interior, so that the suite reports stay as they are.  wide draws from
+    all four scale kinds instead (see _wide_spec_and_funcs)."""
+    if wide:
+        return _wide_spec_and_funcs(draw)
     n = draw(st.integers(3, 10))
     ts = _draw_discrete_scale(draw, n)
     pts = ts.all_points()
@@ -369,6 +374,106 @@ def anchored_spec_and_funcs(draw):
     spec = KernelSpec(ts=ts, a=pts[0], b=pts[-1], x=pts[0], alpha=0.0,
                       beta=draw(st.floats(1e-3, 5.0)), h=sampled())
     return spec, sampled(), sampled()
+
+
+def _wide_spec_and_funcs(draw):
+    """Any of the four scale kinds; the window [a, b] any part of the scale
+    with x at a (alpha = 0), at b (beta = 0) or inside; h, f and g sampled
+    or polynomial, polynomial only on a real interval."""
+    where = draw(st.sampled_from(("a", "b", "inside")))
+    if draw(st.booleans()):
+        lo = draw(st.floats(-4.0, 3.0))
+        ts = RealInterval(lo, lo + draw(st.floats(0.5, 4.0)))
+        u, v = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+        assume(v - u >= 0.05)
+        a, b = ts.lo + u * (ts.hi - ts.lo), ts.lo + v * (ts.hi - ts.lo)
+        inside = a + draw(st.floats(0.05, 0.95)) * (b - a)
+    else:
+        n = draw(st.integers(3, 10))
+        ts = _draw_discrete_scale(draw, n)
+        pts = ts.all_points()
+        i = draw(st.integers(0, n - 2))
+        j = draw(st.integers(i + 1, n - 1))
+        a, b = pts[i], pts[j]
+        if j - i < 2:
+            where = draw(st.sampled_from(("a", "b")))
+        inside = pts[draw(st.integers(i + 1, max(i + 1, j - 1)))]
+    x = {"a": a, "b": b, "inside": inside}[where]
+    alpha = 0.0 if where == "a" else draw(st.floats(1e-3, 5.0))
+    beta = 0.0 if where == "b" else draw(st.floats(1e-3, 5.0))
+
+    def func():
+        if isinstance(ts, RealInterval) or draw(st.booleans()):
+            return Polynomial(draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4)))
+        pts = ts.all_points()
+        return Sampled(dict(zip(pts, draw(st.lists(st.floats(-8, 8, allow_nan=False),
+                                                   min_size=len(pts), max_size=len(pts))))))
+
+    spec = KernelSpec(ts=ts, a=a, b=b, x=x, alpha=alpha, beta=beta, h=func())
+    return spec, func(), func()
+
+
+def _cold(spec, *funcs):
+    """Fresh copies of spec and funcs, rebuilt from their JSON: no memo."""
+    return (kernel_spec_from_json(kernel_spec_to_json(spec)),
+            *(func_from_json(func_to_json(fn)) for fn in funcs))
+
+
+def _outcome(call):
+    """What call returns, or the type of the package error it raises."""
+    try:
+        return call()
+    except DeltaIneqError as exc:
+        return type(exc)
+
+
+@given(anchored_spec_and_funcs(wide=True),
+       st.sampled_from([(Variant.PAPER_LITERAL, Variant.CORRECTED),
+                        (Variant.CORRECTED, Variant.PAPER_LITERAL),
+                        (Variant.PAPER_LITERAL,), (Variant.CORRECTED,)]),
+       st.none() | st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)))
+@settings(max_examples=200, deadline=None)
+def test_evaluate_bounds_is_bit_equal_to_each_public_bound(arg, variants, widen):
+    # every report equals its bound_* call on a cold copy, bit for bit, with
+    # the bracket omitted (None) or supplied around the range of f^Delta
+    spec, f, g = arg
+    gammas = (None, None)
+    if widen is not None:
+        cold_spec, cold_f = _cold(spec, f)
+        lo, hi = delta_derivative_range(cold_spec.ts, cold_f, cold_spec.a, cold_spec.b)
+        gammas = (lo - widen[0], hi + widen[1])
+    got = _outcome(lambda: evaluate_bounds(spec, f, g, variants, *gammas))
+    want = {}
+    for variant in variants:
+        for name in THEOREMS:
+            cold_spec, cold_f, cold_g = _cold(spec, f, g)
+            want[name, variant] = _outcome(lambda: BOUNDS[name](cold_spec, cold_f, cold_g,
+                                                               variant, *gammas))
+    raised = {w for w in want.values() if isinstance(w, type)}
+    if raised:
+        assert got in raised
+        return
+    once, reports = got
+    assert [(r.theorem, r.variant) for r in reports] == list(want)
+    for rep in reports:
+        ref = want[rep.theorem, rep.variant]
+        if rep.theorem in once:         # evaluated once, tagged CORRECTED as bound_t7/t8 tag it
+            assert once[rep.theorem] == ref and ref.variant is Variant.CORRECTED
+        assert rep.theorem == ref.theorem
+        assert [v.hex() for v in (rep.lhs, rep.rhs, rep.slack)] == \
+            [v.hex() for v in (ref.lhs, ref.rhs, ref.slack)]
+    assert set(once) == {"T7-L2", "T7-Gruss", "T8"}
+
+
+def test_evaluate_bounds_rejects_a_bracket_that_misses_f_delta(worked):
+    # f^Delta = 2t + 1 ranges over [1, 7] on Z[0, 4)
+    _, spec = worked
+    g = Polynomial((1.0, -1.0))
+    for gamma, big_gamma in ((1.5, 7.0), (1.0, 6.5), (2.0, 3.0), (7.0, 1.0)):
+        with pytest.raises(InvalidBounds):
+            evaluate_bounds(spec, T_SQUARED, g, (Variant.CORRECTED,), gamma, big_gamma)
+    once, _ = evaluate_bounds(spec, T_SQUARED, g, (Variant.CORRECTED,), 1.0, 7.0)
+    assert once["T8"] == bound_t8(spec, T_SQUARED)
 
 
 @given(anchored_spec_and_funcs())
@@ -477,16 +582,49 @@ def test_kernel_weight_scaling_to_a_subnormal_weight_loses_its_bits():
     assert abs(got - want) <= abs(want) * 2.0 ** (lost_bits - 52)
 
 
+def _weighted_rhs_values(spec, f):
+    """The values montgomery_rhs forms that carry a factor of the weights,
+    each as the package forms it: the terms of B and B, the terms of S(f)
+    and S(f), and f(x) B.  Scaling the weights by a power of two scales each
+    exactly unless it is subnormal.  Steps only: spec's window has no dense
+    piece."""
+    h, a, b, x = spec.h, spec.a, spec.b, spec.x
+    mus, _, hds, k, _ = spec._grid
+    fv = _step_table(spec.ts, f, a, b)[2]
+    left = right = 0.0
+    for i, (mu, hd, fs) in enumerate(zip(mus, hds, fv[1:])):
+        if i < k:
+            left += mu * hd * fs
+        else:
+            right += mu * hd * fs
+    out = []
+    if spec.alpha > 0.0:
+        out += [spec.alpha * (feval(h, x) - feval(h, a)), spec.alpha / (x - a)]
+        out += [out[-2] / (x - a), out[-1] * left]
+    if spec.beta > 0.0:
+        out += [spec.beta * (feval(h, b) - feval(h, x)), spec.beta / (b - x)]
+        out += [out[-2] / (b - x), out[-1] * right]
+    out += [spec._bracket, _kernel_sums(spec, f)[1], feval(f, x) * spec._bracket]
+    return out
+
+
+def _subnormal(v):
+    return 0.0 < abs(v) < sys.float_info.min
+
+
 @given(random_spec_and_funcs(), POW2)
 @settings(max_examples=60, deadline=None)
 def test_t5_sides_invariant_under_pow2_weight_scaling(arg, c):
     spec, f = arg
     # exact only while every nonzero weight scales to a normal float, as in
-    # test_kernel_weight_scaling_exact_for_pow2
+    # test_kernel_weight_scaling_exact_for_pow2, and so does every value of
+    # montgomery_rhs that carries the weights (see the test below)
     assume(all(w == 0.0 or c * w >= sys.float_info.min
                for w in (spec.alpha, spec.beta)))
     scaled = KernelSpec(ts=spec.ts, a=spec.a, b=spec.b, x=spec.x,
                         alpha=c * spec.alpha, beta=c * spec.beta, h=spec.h)
+    assume(not any(map(_subnormal, _weighted_rhs_values(spec, f)
+                       + _weighted_rhs_values(scaled, f))))
     r1 = bound_t5(spec, f, Variant.CORRECTED)
     r2 = bound_t5(scaled, f, Variant.CORRECTED)
     assert r1.lhs == r2.lhs
@@ -508,6 +646,27 @@ def test_t5_sides_under_scaling_to_a_subnormal_weight_lose_its_bits():
     got = bound_t5(scaled, f, Variant.CORRECTED)
     assert got.lhs != want.lhs
     assert abs(got.lhs - want.lhs) <= abs(want.lhs) * 2.0 ** (lost_bits - 52)
+    assert got.rhs == want.rhs
+
+
+def test_t5_sides_under_scaling_to_a_subnormal_rhs_value_lose_its_bits():
+    # an example hypothesis found: the weights stay normal, but f(x) B and
+    # S(f) of the scaled spec fall below the normal range, so the corrected
+    # T5 lhs drifts by the bits they lost
+    pts = (-1.75, -1.0, 0.0, 1.0)
+    h = Sampled({t: 1.75 if t == -1.0 else 0.0 for t in pts})
+    f = Sampled({t: 1.1125369292536007e-308 if t == -1.0 else 0.0 for t in pts})
+    c = 0.25
+    spec = KernelSpec(ts=FiniteGrid(pts), a=-1.75, b=1.0, x=-1.0, alpha=1.0, beta=0.0, h=h)
+    scaled = KernelSpec(ts=FiniteGrid(pts), a=-1.75, b=1.0, x=-1.0, alpha=c, beta=0.0, h=h)
+    assert not any(map(_subnormal, _weighted_rhs_values(spec, f)))
+    assert [_subnormal(v) for v in _weighted_rhs_values(scaled, f)] == [
+        False, False, False, True, False, True, True]      # S's term, S(f), f(x) B
+    want = bound_t5(spec, f, Variant.CORRECTED)
+    got = bound_t5(scaled, f, Variant.CORRECTED)
+    assert (want.lhs, got.lhs) == (5e-324, 0.0)
+    # two values lose at most half a subnormal spacing each, then / w = c
+    assert abs(got.lhs - want.lhs) <= 2.0 ** -1074 / c
     assert got.rhs == want.rhs
 
 
