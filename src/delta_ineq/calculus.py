@@ -8,8 +8,8 @@ Functions come in two representations:
 The delta derivative at a right-scattered point is the forward difference
 ``(f(sigma(t)) - f(t)) / mu(t)``; at a right-dense point it is the classical
 derivative (available only for polynomials).  A delta integral over [a, b)
-is one fold over the window's ``pieces``: the sum of ``mu(t) * f(t)`` over
-its right-scattered points, then the ordinary integral over each dense piece,
+is one fold over the scale's ``window``: the sum of ``mu(t) * f(t)`` over
+its right-scattered steps, then the ordinary integral over each dense piece,
 evaluated through the antiderivative (so f must be a polynomial there).  A
 discrete scale has no dense piece and a real interval no scattered point.
 """
@@ -26,7 +26,7 @@ from .errors import (
     MissingSample,
     NotDifferentiable,
 )
-from .timescale import RealInterval, TimeScale, _json_array, _json_floats, _json_number
+from .timescale import RealInterval, TimeScale, Window, _json_array, _json_floats, _json_number
 
 # ---------------------------------------------------------------------------
 # plain polynomial coefficient arithmetic (ascending order)
@@ -79,13 +79,13 @@ def poly_definite(coeffs: tuple[float, ...], lo: float, hi: float) -> float:
 
 
 # Each function object also carries ``_delta_memo``: per window (scale, a, b)
-# the step table (mu, f^Delta, f, dense, steps) of ``_step_table``, which every
-# delta integral and f^Delta envelope reads, and per window with a dense
-# piece the f' candidate list of the derivative envelopes in ostrowski, and
-# per KernelSpec the kernel sums of f that ostrowski keeps there.  It is not
-# a dataclass field, so ==, hash, repr and the JSON form ignore it,
-# dataclasses.replace starts an empty one, and it lives and dies with its
-# function.
+# the step table (f^Delta, f) of ``_step_table``, which every delta integral
+# and f^Delta envelope reads with the scale's ``window`` (steps, mu, dense
+# pieces), per window with a dense piece the f' candidate list of the
+# derivative envelopes in ostrowski, and per KernelSpec the kernel sums of f
+# that ostrowski keeps there.  It is not a dataclass field, so ==, hash, repr
+# and the JSON form ignore it, dataclasses.replace starts an empty one, and
+# it lives and dies with its function.
 
 
 @dataclass(frozen=True)
@@ -195,19 +195,18 @@ def feval(f: Func, t: float) -> float:
 
 
 def _step_table(ts: TimeScale, f: Func, a: float, b: float
-                ) -> tuple[list[float], list[float], list[float], tuple, list[float]]:
-    """(mu, f^Delta, f, dense, steps) of the window [a, b), with a and b
-    canonical: mu and f^Delta per right-scattered step of [a, b); f at each
-    step and at b (at a and b when there is no step), so f[0] is f(a),
-    f[-1] is f(b), and f(t) and f(sigma(t)) of step i are f[i] and
-    f[i + 1]; the dense pieces (lo, hi) of ``ts.pieces``; and the steps,
-    the right-scattered points themselves, ascending.  A window with a dense
-    piece needs a polynomial f.  A sampled f's values are read straight from
-    its table, a missing point raising feval's MissingSample.  Kept in f's
-    memo under (ts, a, b) and shared by every caller: treat it as read-only."""
+                ) -> tuple[list[float], list[float]]:
+    """(f^Delta, f) of f on the window [a, b), a and b canonical: f^Delta
+    per step of ``ts.window(a, b)``, whose mu it divides by; f at each step
+    and at b (at a and b when there is no step), so f[0] is f(a), f[-1] is
+    f(b), and f(t) and f(sigma(t)) of step i are f[i] and f[i + 1].  A
+    window with a dense piece needs a polynomial f.  A sampled f's values
+    are read straight from its table, a missing point raising feval's
+    MissingSample.  Kept in f's memo under (ts, a, b) and shared by every
+    caller: treat it as read-only."""
     table = f._delta_memo.get((ts, a, b))
     if table is None:
-        pts, dense = ts.pieces(a, b)
+        pts, mus, dense = ts.window(a, b)
         if isinstance(f, Polynomial):
             coeffs = f.coeffs
             vals = [poly_eval(coeffs, t) for t in pts or [a]]
@@ -221,34 +220,31 @@ def _step_table(ts: TimeScale, f: Func, a: float, b: float
                 vals.append(samples[b])
             except KeyError as exc:
                 feval(f, exc.args[0])       # raises feval's MissingSample for that point
-        mus = [nxt - t for t, nxt in zip(pts, pts[1:] + [b])]
         fds = [(fnxt - ft) / mu for ft, fnxt, mu in zip(vals, vals[1:], mus)]
-        table = f._delta_memo[(ts, a, b)] = (mus, fds, vals, dense, pts)
+        table = f._delta_memo[(ts, a, b)] = (fds, vals)
     return table
 
 
-def _with_sample(ts: TimeScale, f: Sampled, a: float, b: float, i: int, t: float,
-                 value: float) -> Sampled:
+def _with_sample(ts: TimeScale, f: Sampled, a: float, b: float, win: Window, i: int,
+                 t: float, value: float) -> Sampled:
     """f with its sample at t, point i of the window [a, b] (step i, or b
-    when i is the number of steps), set to value.  The new function's step
-    table for the window is f's with f entry i replaced and f^Delta of steps
-    i - 1 and i recomputed by the expression of _step_table, so it is
-    bit-equal to a fresh table; mu, the dense pieces and the steps are f's
-    own.
-    It enumerates no grid, so a search that moves one sample at a time
-    tabulates its window once.  f's table is float already, so the new one
-    is set as is (``Sampled._of``); the constructor would check every entry
-    again."""
-    mus, fds, vals, dense, steps = _step_table(ts, f, a, b)
+    when i is the number of steps), set to value; win is ``ts.window(a, b)``,
+    which the caller holds, so a candidate looks nothing up.  The new step
+    table is f's with f entry i replaced and f^Delta of steps i - 1 and i
+    recomputed by the expression of _step_table, bit-equal to a fresh one.
+    So a search that moves one sample at a time tabulates its window once.
+    f's table is float already, so the new one is set as is
+    (``Sampled._of``); the constructor would check every entry again."""
+    fds, vals = _step_table(ts, f, a, b)
     value = float(value)
     moved = Sampled._of(f.table | {t: value})
     vals = vals.copy()
     vals[i] = value
     fds = fds.copy()
     for j in (i - 1, i):
-        if 0 <= j < len(mus):
-            fds[j] = (vals[j + 1] - vals[j]) / mus[j]
-    moved._delta_memo[(ts, a, b)] = (mus, fds, vals, dense, steps)
+        if 0 <= j < len(fds):
+            fds[j] = (vals[j + 1] - vals[j]) / win.mus[j]
+    moved._delta_memo[(ts, a, b)] = (fds, vals)
     return moved
 
 
@@ -274,8 +270,8 @@ def delta_derivative(ts: TimeScale, f: Func, t: float) -> float:
 def delta_integral(ts: TimeScale, f: Func, a: float, b: float) -> float:
     """Delta integral of f over [a, b), with orientation.
 
-    The sum of mu(t) * f(t) over the right-scattered points of [a, b), then
-    the antiderivative difference of a polynomial f over each dense piece.
+    The sum of mu(t) * f(t) over the steps of the window [a, b), then the
+    antiderivative difference of a polynomial f over each dense piece.
     Reads f only on [a, b).
     """
     a = ts.canon(a)
@@ -284,12 +280,12 @@ def delta_integral(ts: TimeScale, f: Func, a: float, b: float) -> float:
         return 0.0
     if a > b:
         return -delta_integral(ts, f, b, a)
-    pts, dense = ts.pieces(a, b)
+    pts, mus, dense = ts.window(a, b)
     if dense and not isinstance(f, Polynomial):
         raise ContinuousScale("sampled functions cannot be integrated on a dense piece")
     total = 0.0
-    for t, nxt in zip(pts, pts[1:] + [b]):
-        total += (nxt - t) * feval(f, t)
+    for t, mu in zip(pts, mus):
+        total += mu * feval(f, t)
     for lo, hi in dense:
         total += poly_definite(f.coeffs, lo, hi)
     return total
@@ -357,8 +353,9 @@ def parts_residual(ts: TimeScale, f: Func, g: Func, a: float, b: float) -> float
     """
     a = ts.canon(a)
     b = ts.canon(b)
-    mus, fds, fv, dense, _ = _step_table(ts, f, a, b)
-    _, gds, gv, _, _ = _step_table(ts, g, a, b)
+    _, mus, dense = ts.window(a, b)
+    fds, fv = _step_table(ts, f, a, b)
+    gds, gv = _step_table(ts, g, a, b)
     boundary = fv[-1] * gv[-1] - fv[0] * gv[0]
     left = 0.0
     right = 0.0

@@ -26,7 +26,6 @@ from .harness import (
 )
 from .ostrowski import (
     Variant,
-    _check_bracket,
     evaluate_bounds,
     kernel_moments,
     kernel_spec_from_json,
@@ -176,13 +175,12 @@ def _run_eval(ns: argparse.Namespace) -> int:
     f = func_from_json(file_obj["f"])
     g = func_from_json(file_obj["g"]) if "g" in file_obj else f
     settings = config_from_json(_overlay({}, ns, ("tolerance", "variants")))
-    gamma, big_gamma = _check_bracket(spec.ts, f, spec.a, spec.b,
-                                      file_obj.get("gamma"), file_obj.get("big_gamma"))
+    _, reports, (gamma, big_gamma) = evaluate_bounds(
+        spec, f, g, settings.variants, file_obj.get("gamma"), file_obj.get("big_gamma"))
 
     lhs = montgomery_lhs(spec, f)
     rhs = montgomery_rhs(spec, f)
     mom = kernel_moments(spec)
-    _, reports = evaluate_bounds(spec, f, g, settings.variants, gamma, big_gamma)
     rows = [bound_row(0, rep, spec, settings.tolerance) for rep in reports]
     failing = [row for row in rows if not row["pass"]]
     findings = [row for row in failing if row["variant"] == Variant.PAPER_LITERAL.value]

@@ -39,7 +39,6 @@ from .ostrowski import (
     KernelSpec,
     Variant,
     closed_form_rhs,
-    delta_derivative_range,
     evaluate_bounds,
     gruss_variance_check,
     identity_residual,
@@ -395,8 +394,8 @@ def _draw_x(rng: SplitMix64, ts: TimeScale) -> float:
 
 def _draw_t(rng: SplitMix64, spec: KernelSpec) -> float:
     """The identity suite's t: uniform on the middle 80 % of a window with a
-    dense piece, else one of the window's steps, read from h's step table."""
-    _, _, _, dense, steps = _step_table(spec.ts, spec.h, spec.a, spec.b)
+    dense piece, else one of the window's steps."""
+    steps, _, dense = spec.ts.window(spec.a, spec.b)
     if dense:
         return spec.a + rng.uniform(0.1, 0.9) * (spec.b - spec.a)
     return rng.choice(steps)
@@ -584,10 +583,10 @@ class _Recorder:
 
 def _int_f_gdelta(spec: KernelSpec, f: Func, g: Func) -> float:
     """Reference magnitude for the integration-by-parts check."""
-    mus, _, fv, dense, _ = _step_table(spec.ts, f, spec.a, spec.b)
-    gv = _step_table(spec.ts, g, spec.a, spec.b)[2]
+    steps, _, dense = spec.ts.window(spec.a, spec.b)
+    fv, gv = (_step_table(spec.ts, fn, spec.a, spec.b)[1] for fn in (f, g))
     total = 0.0
-    for _, ft, gt, gs in zip(mus, fv, gv, gv[1:]):     # one term per step
+    for _, ft, gt, gs in zip(steps, fv, gv, gv[1:]):   # one term per step
         total += ft * (gs - gt)
     for lo, hi in dense:
         total += poly_definite(poly_mul(f.coeffs, poly_derive(g.coeffs)), lo, hi)
@@ -738,8 +737,7 @@ def run_bound_suite(config: TrialConfig, keep_rows: bool = False) -> SuiteReport
     for i in range(config.n_trials):
         rng = trial_rng(config.seed, i)
         spec, f, g = _draw_trial(rng, config, with_g=True)
-        gamma, big_gamma = delta_derivative_range(spec.ts, f, spec.a, spec.b)
-        once, reports = evaluate_bounds(spec, f, g, config.variants, gamma, big_gamma)
+        once, reports, (gamma, big_gamma) = evaluate_bounds(spec, f, g, config.variants)
         rec.bound_trial(labels, i, spec, f, g, gamma, big_gamma, once, reports, keep_rows)
 
     return rec.report()
@@ -801,17 +799,17 @@ def sharpness_search(theorem: str, spec: KernelSpec, config: TrialConfig) -> Sha
     samples, then g's for the theorems that read g.  The evaluation budget is
     config.n_trials; the initial draw is free.  Deterministic given
     config.seed.  Each candidate takes its step table from the function it
-    perturbs (``_with_sample``), so the window is tabulated once per search,
-    and the sums of the function it leaves alone are kept per spec in that
-    function's memo.
+    perturbs and the window the search read once (``_with_sample``), so the
+    window is enumerated and tabulated once per search, and the sums of the
+    function it leaves alone are kept per spec in that function's memo.
     """
     if theorem not in THEOREMS:
         raise UnsupportedTheorem(f"unknown theorem id {theorem!r}")
-    steps, dense = spec.ts.pieces(spec.a, spec.b)
-    if dense:
+    win = spec.ts.window(spec.a, spec.b)
+    if win.dense:
         raise UnsupportedTheorem("sharpness search runs on discrete scales only")
     rng = trial_rng(config.seed, 0)
-    pts = steps + [spec.b]
+    pts = [*win.steps, spec.b]
     r = config.func_family.value_range
     funcs = [Sampled._of(dict(zip(pts, rng.uniforms(len(pts), -r, r))))
              for _ in range(2 if theorem in READS_G else 1)]
@@ -837,7 +835,7 @@ def sharpness_search(theorem: str, spec: KernelSpec, config: TrialConfig) -> Sha
                 if evals >= budget:
                     break
                 cand = funcs.copy()
-                cand[k] = _with_sample(spec.ts, funcs[k], spec.a, spec.b, i, t,
+                cand[k] = _with_sample(spec.ts, funcs[k], spec.a, spec.b, win, i, t,
                                        funcs[k].table[t] + sign * step)
                 ratio = score(*cand)
                 evals += 1

@@ -135,14 +135,15 @@ class KernelSpec:
                               "beta/((alpha+beta)(b-x)) must be finite")
 
     @cached_property
-    def _grid(self) -> tuple[list[float], list[float], list[float], int, tuple]:
+    def _grid(self) -> tuple[tuple[float, ...], list[float], list[float], int, tuple]:
         """The window [a, b): per right-scattered step, mu, P(t) and
         h^Delta(t); k, the number of steps with t < x, so [0, k) covers
         [a, x) and [k, n) [x, b); and the dense pieces split at x, as
-        (lo, hi, P as a polynomial in t).  Read from h's step table for
-        [a, b), k by bisecting its steps."""
+        (lo, hi, P as a polynomial in t).  Read from the scale's window for
+        [a, b) and h's step table on it, k by bisecting the window's steps."""
         c1, c2 = _branch_coeffs(self)
-        mus, hds, hv, dense, steps = _step_table(self.ts, self.h, self.a, self.b)
+        steps, mus, dense = self.ts.window(self.a, self.b)
+        hds, hv = _step_table(self.ts, self.h, self.a, self.b)
         k = bisect_left(steps, self.x)
         ps = [c1 * (hv[i] - hv[0]) if i < k else -c2 * (hv[-1] - hv[i])
               for i in range(len(mus))]
@@ -396,7 +397,7 @@ def _kernel_sums(spec: KernelSpec, f: Func) -> tuple[float, float, float]:
     if entry is not None and entry[0] is spec:
         return entry[1]
     mus, ps, hds, k, dense = spec._grid
-    _, fds, fv, _, _ = _step_table(spec.ts, f, spec.a, spec.b)
+    fds, fv = _step_table(spec.ts, f, spec.a, spec.b)
     lhs = left = right = 0.0
     steps = zip(mus, ps, hds, fds, fv[1:])
     for mu, p, hd, fd, fs in islice(steps, k):      # [a, x)
@@ -460,7 +461,8 @@ def _derivative_candidates(ts: TimeScale, f: Func, a: float, b: float,
     one list per window; callers must not mutate what they get."""
     a = ts.canon(a)
     b = ts.canon(b)
-    _, fds, _, dense, _ = _step_table(ts, f, a, b)
+    dense = ts.window(a, b).dense
+    fds = _step_table(ts, f, a, b)[0]
     steps = fds[1:] if open_interval else fds
     if not dense:
         return steps
@@ -636,9 +638,9 @@ def bound_t6b(spec: KernelSpec, f: Func, g: Func,
 def _fd_variance(ts: TimeScale, f: Func, a: float, b: float, drift: float) -> float:
     """Variance of f^Delta over [a, b): the mean of (f^Delta)**2 less
     drift**2, where drift = (f(b) - f(a))/(b - a) is the mean of f^Delta."""
-    mus, fds, _, dense, _ = _step_table(ts, f, a, b)
+    _, mus, dense = ts.window(a, b)
     total = 0.0
-    for mu, fd in zip(mus, fds):
+    for mu, fd in zip(mus, _step_table(ts, f, a, b)[0]):
         total += mu * fd * fd
     for lo, hi in dense:
         d = poly_derive(f.coeffs)
@@ -700,23 +702,23 @@ READS_G = ("T6a", "T6b")
 
 def evaluate_bounds(spec: KernelSpec, f: Func, g: Func, variants: tuple[Variant, ...],
                     gamma: float | None = None, big_gamma: float | None = None
-                    ) -> tuple[dict[str, BoundReport], list[BoundReport]]:
+                    ) -> tuple[dict[str, BoundReport], list[BoundReport], tuple[float, float]]:
     """Every theorem under each variant, in THEOREMS order within a variant,
-    each equal to its bound_* call.
+    each equal to its bound_* call, and the (gamma, Gamma) they read.
 
-    Each input is read once: the kernel sums of f and of g, f(x), g(x), f(a)
-    and f(b), B and the moments, and the bracket, checked once for T7-Gruss
-    and T8.  The variant-free theorems (T7-L2, T7-Gruss, T8) are evaluated
-    once, before the others, and come back by id as evaluated (tagged
-    CORRECTED), and in the list tagged with each variant.
+    Each input is read once: the bracket, checked first and once for T7-Gruss
+    and T8, the kernel sums of f and of g, f(x), g(x), f(a) and f(b), B and
+    the moments.  The variant-free theorems (T7-L2, T7-Gruss, T8) are
+    evaluated once, before the others, and come back by id as evaluated
+    (tagged CORRECTED), and in the list tagged with each variant.
     """
+    gamma, big_gamma = _check_bracket(spec.ts, f, spec.a, spec.b, gamma, big_gamma)
     mom = spec._moments
     width = spec.b - spec.a
     drift = (feval(f, spec.b) - feval(f, spec.a)) / width
     lf, sf, m1 = _kernel_sums(spec, f)
     lhs, root = _t7_sides(mom, width, lf, drift)
     l2 = _t7_l2(lhs, root, _fd_variance(spec.ts, f, spec.a, spec.b, drift))
-    gamma, big_gamma = _check_bracket(spec.ts, f, spec.a, spec.b, gamma, big_gamma)
     once = {"T7-L2": l2, "T7-Gruss": _t7_gruss(lhs, root, gamma, big_gamma),
             "T8": _t8(mom, lf, gamma, big_gamma)}
     w, iabs = spec.alpha + spec.beta, mom.int_abs_p
@@ -732,7 +734,7 @@ def evaluate_bounds(spec: KernelSpec, f: Func, g: Func, variants: tuple[Variant,
         for rep in once.values():
             reports.append(rep if rep.variant is variant
                            else BoundReport(rep.theorem, variant, rep.lhs, rep.rhs, rep.slack))
-    return once, reports
+    return once, reports, (gamma, big_gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ A time scale here is one of
 Each family implements the jump operators sigma (forward) and rho (backward),
 the graininess ``mu(t) = sigma(t) - t``, point classification, enumeration
 of the half-open range ``[a, b)`` for the discrete families, and ``pieces``,
-the split of a window ``[a, b)`` into right-scattered points and dense pieces
-that every delta integral folds over.  Jump operators saturate at the
-extremes: ``sigma(max) = max`` and ``rho(min) = min``.
+the split of a window ``[a, b)`` into right-scattered points and dense pieces,
+which ``window`` keeps, with mu per step, as the ``Window`` every delta
+integral folds over.  Jumps saturate: ``sigma(max) = max``, ``rho(min) = min``.
 
 The q-lattice is a finite truncation; it never includes the accumulation
 point 0, so every member is isolated and the discrete enumeration is exact.
@@ -27,8 +27,8 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
-from operator import lt
-from typing import ClassVar, Union
+from operator import lt, sub
+from typing import ClassVar, NamedTuple, Union
 
 from .errors import ConfigError, ContinuousScale, EmptyRange, NotInScale
 
@@ -99,6 +99,14 @@ class PointClass:
         return self.right_dense and self.left_dense
 
 
+class Window(NamedTuple):
+    """The window [a, b) of a scale: its right-scattered steps, mu of each
+    (the distance to the next step, or to b), and its dense pieces (lo, hi)."""
+    steps: tuple[float, ...]
+    mus: tuple[float, ...]
+    dense: tuple[tuple[float, float], ...]
+
+
 class _ScaleBase:
     """Shared operations; concrete families fill in the primitive hooks."""
 
@@ -124,10 +132,15 @@ class _ScaleBase:
     def max_point(self) -> float:
         raise NotImplementedError
 
-    def all_points(self) -> list[float]:
-        raise NotImplementedError
-
     # -- derived operations ----------------------------------------------
+
+    def all_points(self) -> list[float]:
+        """Every member, ascending: the steps of the whole scale's window,
+        then the maximum.  A real interval has none to list (ContinuousScale)."""
+        win = self.window(self.min_point, self.max_point)
+        if win.dense:
+            raise ContinuousScale("a real interval cannot be enumerated")
+        return [*win.steps, self.max_point]
 
     def contains(self, t: float) -> bool:
         try:
@@ -163,6 +176,19 @@ class _ScaleBase:
         sum of mu(t) * value over the points plus the ordinary integral over
         the pieces.  The discrete families have no dense piece."""
         return self.grid_points(a, b), ()
+
+    def window(self, a: float, b: float) -> Window:
+        """The Window of [a, b), a < b canonical, built from ``pieces`` once
+        and kept under (a, b) in ``_windows``, an instance attribute but not a
+        dataclass field: ==, hash, repr, the JSON form and dataclasses.replace
+        ignore it.  Shared by every caller: read-only."""
+        windows = self.__dict__.setdefault("_windows", {})
+        win = windows.get((a, b))
+        if win is None:
+            steps, dense = self.pieces(a, b)
+            mus = tuple(map(sub, steps[1:] + [b], steps))   # next step, or b, less t
+            win = windows[a, b] = Window(tuple(steps), mus, dense)
+        return win
 
     def _slice(self, a: float, b: float) -> list[float]:
         raise NotImplementedError
@@ -207,9 +233,6 @@ class FiniteGrid(_ScaleBase):
         i = bisect_left(self.points, t)
         return self.points[i - 1] if i > 0 else t
 
-    def all_points(self) -> list[float]:
-        return list(self.points)
-
     def _slice(self, a: float, b: float) -> list[float]:
         return list(self.points[bisect_left(self.points, a):bisect_left(self.points, b)])
 
@@ -250,9 +273,6 @@ class IntegerInterval(_ScaleBase):
     def rho(self, t: float) -> float:
         t = self.canon(t)
         return t - 1.0 if t > self.lo else t
-
-    def all_points(self) -> list[float]:
-        return [float(k) for k in range(self.lo, self.hi + 1)]
 
     def _slice(self, a: float, b: float) -> list[float]:
         return [float(k) for k in range(int(a), int(b))]
@@ -319,9 +339,6 @@ class QLattice(_ScaleBase):
         k = self.exponent_of(t)
         return self.q ** max(k - 1, self.kmin)
 
-    def all_points(self) -> list[float]:
-        return [self.q ** k for k in range(self.kmin, self.kmax + 1)]
-
     def _slice(self, a: float, b: float) -> list[float]:
         ka = self.exponent_of(a)
         kb = self.exponent_of(b)
@@ -360,9 +377,6 @@ class RealInterval(_ScaleBase):
 
     def rho(self, t: float) -> float:
         return self.canon(t)
-
-    def all_points(self) -> list[float]:
-        raise ContinuousScale("a real interval cannot be enumerated")
 
     def _slice(self, a: float, b: float) -> list[float]:
         raise ContinuousScale("grid_points is undefined on a real interval")

@@ -64,7 +64,7 @@ def test_a_cold_step_table_missing_a_window_point_raises_what_feval_raises():
         assert not f._delta_memo
     # a point outside the window is not read
     f = Sampled({t: 1.0 for t in ts.all_points() if t != 3.0})
-    assert _step_table(ts, f, 0.0, 2.0)[2] == [1.0, 1.0, 1.0, 1.0]
+    assert _step_table(ts, f, 0.0, 2.0)[1] == [1.0, 1.0, 1.0, 1.0]
     spec = KernelSpec(ts=ts, a=0.0, b=3.0, x=1.25, alpha=1.0, beta=1.0,
                       h=Sampled({t: t for t in ts.all_points()}))
     with pytest.raises(MissingSample, match=r"no sample at t=3\.0$"):

@@ -451,24 +451,23 @@ def test_suites_build_witnesses_only_for_failing_checks(monkeypatch):
     assert calls["_bound_witness"] == len(literal.findings) + len(literal.failures) > 0
 
 
-def test_one_bound_trial_reads_the_range_of_f_delta_at_most_twice(monkeypatch):
-    # once for the suite's (gamma, Gamma), once when evaluate_bounds checks
-    # that bracket for T7-Gruss and T8 together
+def test_one_bound_trial_reads_the_range_of_f_delta_once(monkeypatch):
+    # evaluate_bounds checks the bracket once for T7-Gruss and T8 and hands
+    # the (gamma, Gamma) it read back to the suite
     calls = {"delta_derivative_range": 0, "_check_bracket": 0}
-    for module, name in ((ostrowski, "delta_derivative_range"),
-                         (harness, "delta_derivative_range"), (ostrowski, "_check_bracket")):
-        def counted(*args, _real=getattr(module, name), _name=name):
+    for name in calls:
+        def counted(*args, _real=getattr(ostrowski, name), _name=name):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(ostrowski, name, counted)
     for seed in range(8):
         for name in calls:
             calls[name] = 0
         config = TrialConfig(seed=seed, n_trials=1, variants=(Variant.PAPER_LITERAL,
                                                               Variant.CORRECTED))
         assert run_bound_suite(config).checks["T8/corrected"]["trials"] == 1
-        assert calls["delta_derivative_range"] <= 2 and calls["_check_bracket"] == 1
+        assert calls == {"delta_derivative_range": 1, "_check_bracket": 1}
 
 
 def test_witnesses_of_one_bound_trial_share_its_spec_and_functions():
@@ -667,8 +666,33 @@ def test_sharpness_search_enumerates_its_window_a_fixed_number_of_times(monkeypa
         res = sharpness_search("T6b", spec, TrialConfig(seed=0, n_trials=budget))
         assert res.iterations == budget
         counts.append(len(calls))
-    # the window, h's table, and the tables of the initial f and g
-    assert counts == [4, 4]
+    # the scale's window, which h's table, the tables of the initial f and g
+    # and every candidate read
+    assert counts == [1, 1]
+
+
+def test_each_suite_trial_enumerates_its_scale_once(monkeypatch):
+    calls = []
+    enumerate_points = _ScaleBase.grid_points
+
+    def counted(self, a, b):
+        calls.append(self)
+        return enumerate_points(self, a, b)
+
+    monkeypatch.setattr(_ScaleBase, "grid_points", counted)
+    # the draw (h, f, g and x), the kernel, the step tables and every check
+    # of a trial read one window: the whole drawn scale
+    for suite in (run_bound_suite, run_identity_suite):
+        for seed in range(6):
+            calls.clear()
+            suite(TrialConfig(seed=seed, n_trials=1))
+            assert len(calls) == 1
+    # a fixed scale is one object for the whole run, and so is its window
+    for suite in (run_bound_suite, run_identity_suite):
+        fixed = FiniteGrid((-2.0, -0.5, 0.25, 1.0, 3.5, 4.0))
+        calls.clear()
+        suite(TrialConfig(seed=2, n_trials=40, fixed_scale=fixed))
+        assert calls == [fixed]
 
 
 # ------------------------------------------------------------------- replay

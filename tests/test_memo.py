@@ -1,5 +1,6 @@
-"""Memoized derived data: the kernel data a KernelSpec keeps and the step
-tables and f^Delta candidate lists a function keeps.
+"""Memoized derived data: the windows a scale keeps, the kernel data a
+KernelSpec keeps and the step tables and f^Delta candidate lists a function
+keeps.
 
 A warm object must answer bit for bit as a fresh copy rebuilt from JSON,
 and as reference loops that enumerate the grid on every call; the memo must
@@ -55,6 +56,7 @@ from delta_ineq.calculus import (
 )
 from delta_ineq.harness import _int_f_gdelta
 from delta_ineq.ostrowski import _branch_coeffs, _kernel_sums, _roots_in
+from delta_ineq.timescale import _ScaleBase, scale_to_json
 
 CUBIC = Polynomial((0.5, -1.25, 0.75, 0.3))
 QUADRATIC = Polynomial((1.0, 0.5, -2.0))
@@ -196,19 +198,28 @@ def test_replace_builds_objects_without_the_old_memo(case):
     assert _bits(kernel_moments(scaled)) == _bits(kernel_moments(rebuilt))
     assert _bits(kernel_moments(scaled)) != _bits(kernel_moments(spec))
     assert dataclasses.replace(f)._delta_memo == {}
+    assert vars(spec.ts)["_windows"]
+    ts = dataclasses.replace(spec.ts)
+    assert "_windows" not in vars(ts)
+    assert ts.window(spec.a, spec.b) == spec.ts.window(spec.a, spec.b)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_memo_is_invisible_to_eq_hash_repr_and_json(case):
     spec, f, g = CASES[case]()
-    objects = (spec, spec.h, f, g)
+    objects = (spec, spec.ts, spec.h, f, g)
 
     def identity(obj):
         try:
             h = hash(obj)
         except TypeError:            # Sampled holds a dict: unhashable
             h = None
-        js = kernel_spec_to_json(obj) if obj is spec else func_to_json(obj)
+        if isinstance(obj, KernelSpec):
+            js = kernel_spec_to_json(obj)
+        elif isinstance(obj, _ScaleBase):
+            js = scale_to_json(obj)
+        else:
+            js = func_to_json(obj)
         return h, repr(obj), js, dataclasses.asdict(obj)
 
     before = [identity(obj) for obj in objects]
@@ -216,6 +227,10 @@ def test_memo_is_invisible_to_eq_hash_repr_and_json(case):
     _results(spec, f, g)
     assert [identity(obj) for obj in objects] == before
     assert (spec, f, g) == fresh
+    # the scale's windows, used and kept, against a scale that has none
+    assert vars(spec.ts)["_windows"] and "_windows" not in vars(fresh[0].ts)
+    assert spec.ts == fresh[0].ts and identity(spec.ts) == identity(fresh[0].ts)
+    assert "_windows" not in {fl.name for fl in dataclasses.fields(spec.ts)}
     assert [fl.name for fl in dataclasses.fields(KernelSpec)] == [
         "ts", "a", "b", "x", "alpha", "beta", "h"]
     assert [fl.name for fl in dataclasses.fields(Polynomial)] == ["coeffs"]
@@ -563,8 +578,8 @@ def test_function_keeps_one_step_table_per_scale_and_window():
     # step tables are keyed (scale, a, b), the per-spec kernel sums (id(spec), name)
     step_tables = {key for key in f._delta_memo if len(key) == 3}
     assert step_tables == {(ints, 0.0, 6.0), (evens, 0.0, 6.0), (ints, 1.0, 4.0)}
-    assert f._delta_memo[(evens, 0.0, 6.0)][1] == [1.5, 3.5, -15.0]
-    assert f._delta_memo[(ints, 1.0, 4.0)][1] == [2.0, 3.0, 4.0]
+    assert f._delta_memo[(evens, 0.0, 6.0)][0] == [1.5, 3.5, -15.0]
+    assert f._delta_memo[(ints, 1.0, 4.0)][0] == [2.0, 3.0, 4.0]
     assert montgomery_lhs(on_ints, f) != montgomery_lhs(on_evens, f)
 
 
@@ -674,7 +689,7 @@ def _corrupt(spec, mus, k):
     split k at x, before anything reads it; P by its branch at each step."""
     c1, c2 = _branch_coeffs(spec)
     _, _, hds, _, dense = spec._grid
-    hv = _step_table(spec.ts, spec.h, spec.a, spec.b)[2]
+    hv = _step_table(spec.ts, spec.h, spec.a, spec.b)[1]
     ps = [c1 * (hv[i] - hv[0]) if i < k else -c2 * (hv[-1] - hv[i]) for i in range(len(mus))]
     vars(spec)["_grid"] = (mus, ps, hds, k, dense)
 
@@ -683,7 +698,7 @@ def _shift_mu(spec):
     """mu of the first two steps moved by +-delta, their total width kept."""
     mus, _, _, k, _ = spec._grid
     delta = 0.25 * min(mus[0], mus[1])
-    return [mus[0] + delta, mus[1] - delta] + mus[2:], k
+    return [mus[0] + delta, mus[1] - delta, *mus[2:]], k
 
 
 def _shift_k(spec):
@@ -725,11 +740,14 @@ def test_walk_flags_a_wrong_step_table(case, shift):
 def test_kernel_grid_leaves_the_step_table_of_h(case):
     spec, _, _ = _fresh(*DISCRETE_CASES[case]())
     mus, _, hds, _, dense = spec._grid
+    window = spec.ts.window(spec.a, spec.b)
     table = _step_table(spec.ts, spec.h, spec.a, spec.b)
-    assert table[0] is mus and table[1] is hds and dense == table[3] == ()
+    assert window.mus is mus and table[0] is hds and dense == window.dense == ()
     assert list(spec.h._delta_memo) == [(spec.ts, spec.a, spec.b)]
+    assert list(vars(spec.ts)["_windows"]) == [(spec.a, spec.b)]
     points = [t for t, _ in _ref_steps(spec.ts, spec.a, spec.b)] + [spec.b]
-    assert _bits(tuple(table[2])) == _bits(tuple(feval(spec.h, t) for t in points))
+    assert list(window.steps) == points[:-1]
+    assert _bits(tuple(table[1])) == _bits(tuple(feval(spec.h, t) for t in points))
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +843,7 @@ def kernel_sums_cases(draw):
     if isinstance(f, Sampled) and draw(st.booleans()):
         window = ts.grid_points(a, b) + [b]
         k = draw(st.integers(0, len(window) - 1))
-        f = _with_sample(ts, f, a, b, k, window[k], draw(FLOATS))
+        f = _with_sample(ts, f, a, b, ts.window(a, b), k, window[k], draw(FLOATS))
     return spec, f
 
 
@@ -855,7 +873,7 @@ WINDOWS = {
 
 
 def _columns(table):
-    """(mu, f^Delta, f, dense) with the lists as tuples, for _bits."""
+    """(f^Delta, f) with the lists as tuples, for _bits."""
     return tuple(tuple(col) for col in table)
 
 
@@ -869,13 +887,13 @@ def test_moved_sample_table_is_bit_equal_to_a_fresh_one(case):
     for i, t in enumerate(points):
         for delta in (0.375, -1.5):
             value = f.table[t] + delta
-            moved = _with_sample(ts, f, a, b, i, t, value)
+            moved = _with_sample(ts, f, a, b, ts.window(a, b), i, t, value)
             rebuilt = Sampled(f.table | {t: value})
             assert moved == rebuilt and list(moved._delta_memo) == [(ts, a, b)]
             derived = _columns(moved._delta_memo[(ts, a, b)])
             assert _bits(derived) == _bits(_columns(_step_table(ts, rebuilt, a, b)))
             # f^Delta moves only on the steps either side of point i: at a
             # the first, at b the last
-            changed = [j for j in range(n) if derived[1][j] != parent[1][j]]
+            changed = [j for j in range(n) if derived[0][j] != parent[0][j]]
             assert changed == [j for j in (i - 1, i) if 0 <= j < n]
     assert _bits(_columns(_step_table(ts, f, a, b))) == _bits(parent)

@@ -435,12 +435,13 @@ def _outcome(call):
 @settings(max_examples=200, deadline=None)
 def test_evaluate_bounds_is_bit_equal_to_each_public_bound(arg, variants, widen):
     # every report equals its bound_* call on a cold copy, bit for bit, with
-    # the bracket omitted (None) or supplied around the range of f^Delta
+    # the bracket omitted (None) or supplied around the range of f^Delta; the
+    # bracket it returns is that range, or the one supplied
     spec, f, g = arg
     gammas = (None, None)
+    cold_spec, cold_f = _cold(spec, f)
+    lo, hi = delta_derivative_range(cold_spec.ts, cold_f, cold_spec.a, cold_spec.b)
     if widen is not None:
-        cold_spec, cold_f = _cold(spec, f)
-        lo, hi = delta_derivative_range(cold_spec.ts, cold_f, cold_spec.a, cold_spec.b)
         gammas = (lo - widen[0], hi + widen[1])
     got = _outcome(lambda: evaluate_bounds(spec, f, g, variants, *gammas))
     want = {}
@@ -453,7 +454,8 @@ def test_evaluate_bounds_is_bit_equal_to_each_public_bound(arg, variants, widen)
     if raised:
         assert got in raised
         return
-    once, reports = got
+    once, reports, checked = got
+    assert checked == ((lo, hi) if widen is None else gammas)
     assert [(r.theorem, r.variant) for r in reports] == list(want)
     for rep in reports:
         ref = want[rep.theorem, rep.variant]
@@ -472,8 +474,8 @@ def test_evaluate_bounds_rejects_a_bracket_that_misses_f_delta(worked):
     for gamma, big_gamma in ((1.5, 7.0), (1.0, 6.5), (2.0, 3.0), (7.0, 1.0)):
         with pytest.raises(InvalidBounds):
             evaluate_bounds(spec, T_SQUARED, g, (Variant.CORRECTED,), gamma, big_gamma)
-    once, _ = evaluate_bounds(spec, T_SQUARED, g, (Variant.CORRECTED,), 1.0, 7.0)
-    assert once["T8"] == bound_t8(spec, T_SQUARED)
+    once, _, checked = evaluate_bounds(spec, T_SQUARED, g, (Variant.CORRECTED,), 1.0, 7.0)
+    assert once["T8"] == bound_t8(spec, T_SQUARED) and checked == (1.0, 7.0)
 
 
 @given(anchored_spec_and_funcs())
@@ -515,7 +517,7 @@ def test_every_bound_evaluates_where_the_printed_t6b_form_reads_round_off():
                for vals in ((0, 0, 0, 2), (0, 0, 0, 3), (0, 0, 4, 0)))
     spec = KernelSpec(ts=ts, a=pts[0], b=pts[-1], x=1.01, alpha=0.0, beta=2.0, h=h)
     assert montgomery_rhs(spec, g) == 0.0 and 0.0 < montgomery_lhs(spec, g) < 1e-12
-    _, reports = evaluate_bounds(spec, f, g, (Variant.PAPER_LITERAL, Variant.CORRECTED))
+    _, reports, _ = evaluate_bounds(spec, f, g, (Variant.PAPER_LITERAL, Variant.CORRECTED))
     assert len(reports) == 2 * len(THEOREMS)
     assert all(math.isfinite(r.lhs) and math.isfinite(r.rhs) for r in reports)
     t6b = {r.variant: r for r in reports if r.theorem == "T6b"}
@@ -590,7 +592,7 @@ def _weighted_rhs_values(spec, f):
     piece."""
     h, a, b, x = spec.h, spec.a, spec.b, spec.x
     mus, _, hds, k, _ = spec._grid
-    fv = _step_table(spec.ts, f, a, b)[2]
+    fv = _step_table(spec.ts, f, a, b)[1]
     left = right = 0.0
     for i, (mu, hd, fs) in enumerate(zip(mus, hds, fv[1:])):
         if i < k:

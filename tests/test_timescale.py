@@ -192,6 +192,46 @@ def test_real_window_is_one_dense_piece_without_a_step():
         ts.pieces(0.0, 3.0)
 
 
+def _hexes(points):
+    return [(type(t), t.hex()) for t in points]
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_all_points_is_the_whole_window_and_the_maximum_bit_for_bit(data):
+    # the per-family lists all_points once returned, against the one method
+    kind = data.draw(st.sampled_from(("grid", "integer", "qlattice")))
+    n = data.draw(st.integers(2, 40))
+    if kind == "grid":
+        points = tuple(sorted(data.draw(st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n, unique=True))))
+        ts, want = FiniteGrid(points), list(points)
+    elif kind == "integer":
+        lo = data.draw(st.integers(-2 ** 40, 2 ** 40))
+        ts, want = IntegerInterval(lo, lo + n - 1), [float(k) for k in range(lo, lo + n)]
+    else:
+        q = data.draw(st.floats(1.0 + 2.0 ** -20, 3.0))
+        kmin = data.draw(st.integers(-30, 30))
+        ts, want = QLattice(q, kmin, kmin + n - 1), [q ** k for k in range(kmin, kmin + n)]
+    assert _hexes(ts.all_points()) == _hexes(want)
+    assert _hexes(ts.all_points()) == _hexes(want)      # kept on the scale
+    assert list(vars(ts)["_windows"]) == [(ts.min_point, ts.max_point)]
+    with pytest.raises(ContinuousScale, match="cannot be enumerated"):
+        RealInterval(-1.0, data.draw(st.floats(-0.5, 8.0))).all_points()
+
+
+def test_window_is_the_pieces_with_mu_to_the_next_step_or_b():
+    ts = FiniteGrid((-1.0, 0.5, 2.0, 3.0))
+    win = ts.window(0.5, 3.0)
+    assert win == ((0.5, 2.0), (1.5, 1.0), ())
+    assert ts.window(0.5, 3.0) is win and list(vars(ts)["_windows"]) == [(0.5, 3.0)]
+    assert ts.window(-1.0, 2.0) == ((-1.0, 0.5), (1.5, 1.5), ())
+    assert RealInterval(-1.0, 2.5).window(0.0, 1.0) == ((), (), ((0.0, 1.0),))
+    with pytest.raises(EmptyRange):
+        ts.window(2.0, 2.0)
+    assert list(vars(ts)["_windows"]) == [(0.5, 3.0), (-1.0, 2.0)]
+
+
 def test_real_interval_validation():
     with pytest.raises(ConfigError):
         RealInterval(1.0, 1.0)
